@@ -25,11 +25,6 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Exponentially distributed with mean 1.
-    pub fn exp1(&mut self) -> f64 {
-        -(1.0 - self.next_f64()).ln()
-    }
-
     /// Uniform index in `0..n` (`n > 0`).
     pub fn below(&mut self, n: usize) -> usize {
         (self.next_f64() * n as f64) as usize % n
@@ -61,7 +56,6 @@ mod tests {
         for _ in 0..1000 {
             let u = r.next_f64();
             assert!((0.0..1.0).contains(&u));
-            assert!(r.exp1() >= 0.0);
             assert!(r.below(3) < 3);
         }
     }

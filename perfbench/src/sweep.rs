@@ -4,9 +4,10 @@
 //! loop.
 //!
 //! The untraced pass gives the end-to-end metrics. A traced run repeats the
-//! untraced pass (the base of `trace.overhead`), then replays the same plans
-//! through [`crate::replay`] with spans around every layer call and checks
-//! that each replay did exactly the verifier's work.
+//! untraced pass, replays the same plans through [`crate::replay`] with
+//! spans around every layer call and checks that each replay did exactly
+//! the verifier's work, then runs verdicts with the program's own pv-obs
+//! tracing off and on in turn (`trace.overhead`).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -23,17 +24,16 @@ use pv_proc::vsm::{self, VsmConfig};
 use crate::replay::{replay_plan, PlanReplay};
 use crate::spans::{self, Tracer};
 use crate::stats::{median, Latency};
-use crate::{peak_rss_mb, Outcome};
+use crate::{peak_rss_mb, reset_peak_rss, Outcome};
 
 /// Worker threads of the Alpha0 sweep.
 const ALPHA0_WORKERS: usize = 2;
 /// Seconds of `--seconds` per Alpha0 sweep (one takes 17–25 s on a 2-core
 /// Xeon); a run makes a fixed number of sweeps, at least one.
 const ALPHA0_SECONDS_PER_SWEEP: u64 = 15;
-/// Set-up repetitions of the Alpha0 workload (the median is reported).
-const ALPHA0_SETUPS: usize = 51;
-/// Latency limit of one Alpha0 sweep verdict, for `slo_met_share`.
-const ALPHA0_SLO_S: f64 = 60.0;
+/// Set-ups of the Alpha0 workload before the first sweep and after each
+/// (the median is reported).
+const ALPHA0_SETUPS: usize = 17;
 
 /// Plans with their own `plan.<i>.*` metrics (both sweeps have five).
 const PLAN_METRICS: usize = 5;
@@ -45,12 +45,11 @@ const VSM_REGS: usize = 2;
 const VSM_VERDICTS_PER_S: usize = 5;
 /// At least this many VSM verdicts, so the p90 has ten samples beyond it.
 const VSM_MIN_VERDICTS: usize = 100;
-/// Verdicts replayed with spans in a traced VSM run.
+/// Verdicts replayed with spans, and pairs of verdicts run with the
+/// program's own tracing off and on, in a traced VSM run.
 const VSM_REPLAYS: usize = 20;
-/// Set-up repetitions of the VSM workload.
-const VSM_SETUPS: usize = 101;
-/// Latency limit of one VSM verdict, for `slo_met_share`.
-const VSM_SLO_S: f64 = 1.0;
+/// Set-ups of the VSM workload before the first verdict and after each.
+const VSM_SETUPS: usize = 1;
 
 /// An elaborated design pair and its machine properties.
 struct Pair {
@@ -77,31 +76,29 @@ fn vsm_pair() -> Pair {
     }
 }
 
-/// Elaborates the pair and builds its verifier `reps` times; returns the
-/// last pair, its verifier and the median set-up time. Every repetition's
-/// result stays alive until all are timed, so each builds in fresh memory
-/// rather than in whatever the previous one freed. With a tracer, each
-/// elaboration is a `proc.elaborate` span.
+/// Elaborates the pair and builds its verifier; returns both and the time
+/// taken. With a tracer, the elaboration is a `proc.elaborate` span.
 fn set_up(
-    reps: usize,
     threads: usize,
     elaborate: fn() -> Pair,
-    mut tracer: Option<&mut Tracer>,
+    tracer: Option<&mut Tracer>,
 ) -> (Pair, Verifier, f64) {
-    let mut times = Vec::with_capacity(reps);
-    let mut built = Vec::with_capacity(reps);
+    let started = Instant::now();
+    let pair = match tracer {
+        Some(t) => t.time("proc.elaborate", elaborate),
+        None => elaborate(),
+    };
+    let verifier = Verifier::new(pair.spec.clone()).with_threads(threads);
+    (pair, verifier, started.elapsed().as_secs_f64())
+}
+
+/// Times `reps` more set-ups of `w`, each dropped before the next, into
+/// `times`.
+fn time_set_ups(w: &Workload, reps: usize, mut tracer: Option<&mut Tracer>, times: &mut Vec<f64>) {
     for _ in 0..reps {
-        let started = Instant::now();
-        let pair = match tracer.as_deref_mut() {
-            Some(t) => t.time("proc.elaborate", elaborate),
-            None => elaborate(),
-        };
-        let verifier = Verifier::new(pair.spec.clone()).with_threads(threads);
-        times.push(started.elapsed().as_secs_f64());
-        built.push((pair, verifier));
+        let (_, _, t) = set_up(w.workers, w.elaborate, tracer.as_deref_mut());
+        times.push(t);
     }
-    let (pair, verifier) = built.pop().expect("at least one set-up");
-    (pair, verifier, median(&times))
 }
 
 /// Why a verifier report is not the expected complete, equivalent verdict.
@@ -118,6 +115,24 @@ fn verdict_problem(report: &VerificationReport, plans: usize) -> Option<String> 
     }
 }
 
+/// Fails `out` when `report` is not a complete, equivalent verdict with the
+/// work counts of `first`.
+fn check_verdict(
+    out: &mut Outcome,
+    name: &str,
+    report: &VerificationReport,
+    plans: usize,
+    first: Option<&VerificationReport>,
+) {
+    if let Some(problem) = verdict_problem(report, plans) {
+        out.fail(&format!("{name}: {problem}"));
+    } else if first.is_some_and(|f| work_counts(f) != work_counts(report)) {
+        out.fail(&format!(
+            "{name}: work counts differ from the first verdict's"
+        ));
+    }
+}
+
 /// The deterministic work figures of a report, compared across verdicts.
 fn work_counts(report: &VerificationReport) -> (usize, usize, BTreeMap<String, u64>) {
     (
@@ -128,18 +143,17 @@ fn work_counts(report: &VerificationReport) -> (usize, usize, BTreeMap<String, u
 }
 
 /// Replays `plans` with spans on `threads` workers that claim plans in index
-/// order, as the verifier's pool does. Returns one tracer per worker, the
-/// replays in plan order, and the wall time.
+/// order, as the verifier's pool does. Returns one tracer per worker and the
+/// replays in plan order.
 fn replay_plans(
     pair: &Pair,
     plans: &[SimulationPlan],
     threads: usize,
     epoch: Instant,
     request_base: u64,
-) -> (Vec<Tracer>, Vec<PlanReplay>, Duration) {
+) -> (Vec<Tracer>, Vec<PlanReplay>) {
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<PlanReplay>>> = Mutex::new(vec![None; plans.len()]);
-    let started = Instant::now();
     let tracers = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
@@ -168,14 +182,13 @@ fn replay_plans(
             .map(|w| w.join().expect("replay worker panicked"))
             .collect::<Vec<_>>()
     });
-    let wall = started.elapsed();
     let replays = results
         .into_inner()
         .expect("replay results lock")
         .into_iter()
         .map(|r| r.expect("every plan replayed"))
         .collect();
-    (tracers, replays, wall)
+    (tracers, replays)
 }
 
 /// Per-layer metrics shared by both verifier workloads: span times from the
@@ -265,10 +278,11 @@ struct Workload {
     elaborate: fn() -> Pair,
     plans: fn(&Verifier) -> Vec<SimulationPlan>,
     workers: usize,
+    /// Set-ups timed before the first verdict and after each, so that the
+    /// set-up samples spread over the run.
     setups: usize,
     verdicts: usize,
     replays: usize,
-    slo_s: f64,
 }
 
 /// The `alpha0-sweep` workload: the k = 5 control-transfer sweep,
@@ -288,7 +302,6 @@ pub fn alpha0_sweep(seconds: u64, traced: bool, run_dir: &Path) -> Outcome {
             setups: ALPHA0_SETUPS,
             verdicts: (seconds / ALPHA0_SECONDS_PER_SWEEP).max(1) as usize,
             replays: 1,
-            slo_s: ALPHA0_SLO_S,
         },
         traced,
         run_dir,
@@ -307,7 +320,6 @@ pub fn vsm_quickstart(seconds: u64, traced: bool, run_dir: &Path) -> Outcome {
             setups: VSM_SETUPS,
             verdicts: (VSM_VERDICTS_PER_S * seconds as usize).max(VSM_MIN_VERDICTS),
             replays: VSM_REPLAYS,
-            slo_s: VSM_SLO_S,
         },
         traced,
         run_dir,
@@ -321,12 +333,10 @@ fn run(w: &Workload, traced: bool, run_dir: &Path) -> Outcome {
     let mut out = Outcome::new();
     let epoch = Instant::now();
     let mut setup_tracer = Tracer::new(epoch);
-    let (pair, verifier, setup_s) = set_up(
-        w.setups,
-        w.workers,
-        w.elaborate,
-        traced.then_some(&mut setup_tracer),
-    );
+    let mut tracer = traced.then_some(&mut setup_tracer);
+    let (pair, verifier, first_setup) = set_up(w.workers, w.elaborate, tracer.as_deref_mut());
+    let mut setups = vec![first_setup];
+    time_set_ups(w, w.setups - 1, tracer.as_deref_mut(), &mut setups);
     let plans = (w.plans)(&verifier);
 
     let mut latencies = Vec::with_capacity(w.verdicts);
@@ -334,8 +344,9 @@ fn run(w: &Workload, traced: bool, run_dir: &Path) -> Outcome {
     let mut concurrency = Vec::with_capacity(w.verdicts);
     let mut idle = Vec::with_capacity(w.verdicts);
     let mut first: Option<VerificationReport> = None;
-    let mut slo_met = 0usize;
+    reset_peak_rss();
     let started = Instant::now();
+    let mut paused = Duration::ZERO;
     for _ in 0..w.verdicts {
         let t = Instant::now();
         let report = verifier
@@ -350,27 +361,14 @@ fn run(w: &Workload, traced: bool, run_dir: &Path) -> Outcome {
         concurrency.push(plan_sum / latency);
         idle.push(w.workers as f64 * latency - plan_sum);
         out.attempted += 1;
-        let mut ok = true;
-        if let Some(problem) = verdict_problem(&report, plans.len()) {
-            out.fail(&format!("{}: {problem}", w.name));
-            ok = false;
-        }
-        match &first {
-            None => first = Some(report),
-            Some(f) if work_counts(f) != work_counts(&report) => {
-                out.fail(&format!(
-                    "{}: work counts differ from the first verdict's",
-                    w.name
-                ));
-                ok = false;
-            }
-            Some(_) => {}
-        }
-        if ok && latency <= w.slo_s {
-            slo_met += 1;
-        }
+        check_verdict(&mut out, w.name, &report, plans.len(), first.as_ref());
+        first.get_or_insert(report);
+        let pause = Instant::now();
+        time_set_ups(w, w.setups, tracer.as_deref_mut(), &mut setups);
+        paused += pause.elapsed();
     }
-    let wall = started.elapsed().as_secs_f64();
+    let wall = (started.elapsed() - paused).as_secs_f64();
+    let peak_rss = peak_rss_mb();
     let first = first.expect("at least one verdict");
     let latency = Latency::of(&latencies);
     eprintln!(
@@ -387,13 +385,11 @@ fn run(w: &Workload, traced: bool, run_dir: &Path) -> Outcome {
     if traced {
         let mut tracers = vec![setup_tracer];
         let mut replays = Vec::new();
-        let mut replay_wall = 0.0;
         for verdict in 0..w.replays {
             let request_base = (verdict * plans.len()) as u64;
-            let (t, r, elapsed) = replay_plans(&pair, &plans, w.workers, epoch, request_base);
+            let (t, r) = replay_plans(&pair, &plans, w.workers, epoch, request_base);
             tracers.extend(t);
             replays.extend(r);
-            replay_wall += elapsed.as_secs_f64();
         }
         check_identity(&mut out, &replays, &first.plan_reports);
         let plan_walls: Vec<f64> = plan_walls.iter().map(|v| median(v)).collect();
@@ -407,19 +403,36 @@ fn run(w: &Workload, traced: bool, run_dir: &Path) -> Outcome {
         );
         out.layer("pool.concurrency", median(&concurrency));
         out.layer("pool.idle_s", median(&idle));
-        out.layer(
-            "trace.overhead",
-            (replay_wall / w.replays as f64) / (wall / w.verdicts as f64),
+        // The program's own tracing: verdicts with pv-obs spans on, each
+        // right after an untraced twin, so that both see the same machine.
+        let mut twins = [Vec::new(), Vec::new()];
+        for _ in 0..w.replays {
+            for (trace, times) in [false, true].into_iter().zip(&mut twins) {
+                pv_obs::set_trace_enabled(trace);
+                let t = Instant::now();
+                let report = verifier
+                    .verify_plans(&pair.pipelined, &pair.unpipelined, &plans)
+                    .expect("the design pair is well-formed");
+                times.push(t.elapsed().as_secs_f64());
+                out.attempted += 1;
+                check_verdict(&mut out, w.name, &report, plans.len(), Some(&first));
+            }
+        }
+        pv_obs::set_trace_enabled(false);
+        let events = pv_obs::take_events().len();
+        eprintln!(
+            "{}: the program recorded {events} trace events in {} traced verdicts",
+            w.name, w.replays
         );
+        out.layer("trace.overhead", median(&twins[1]) / median(&twins[0]));
         out.write_spans(run_dir, w.name, &tracers);
     } else {
-        out.metric("setup_s", setup_s);
+        out.metric("setup_s", median(&setups));
         out.metric("wall_s", wall);
         out.metric("verdict_p50_s", latency.p50);
         out.metric("verdict_p90_s", latency.p90);
         out.metric("verdicts_per_s", w.verdicts as f64 / wall);
-        out.metric("slo_met_share", slo_met as f64 / w.verdicts as f64);
-        out.metric("peak_rss_mb", peak_rss_mb());
+        out.metric("peak_rss_mb", peak_rss);
         out.metric("bdd_allocated", first.bdd_nodes as f64);
         out.metric("bdd_peak_live", first.bdd_peak_live as f64);
     }
