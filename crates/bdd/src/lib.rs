@@ -19,12 +19,7 @@
 //!   logic used when building word-level datapaths symbolically,
 //! * [`TransitionSystem`], the transition-relation representation of a
 //!   synchronous machine together with image computation and breadth-first
-//!   reachability (Coudert–Berthet–Madre 1989, Section 3.3 of the thesis), and
-//! * **dynamic variable reordering**: grouped Rudell sifting over a
-//!   var↔level indirection ([`BddManager::reorder`],
-//!   [`BddManager::maybe_reorder`], [`AutoReorderPolicy`]) with reorder
-//!   groups ([`BddManager::group_vars`]) that keep interleaved words and
-//!   present/next pairs adjacent while their blocks move, and
+//!   reachability (Coudert–Berthet–Madre 1989, Section 3.3 of the thesis),
 //! * cooperative **resource budgets** ([`Budget`], [`BudgetExceeded`],
 //!   [`BddManager::set_budget`]): wall-clock deadlines, allocated-node
 //!   limits and cancellation, checked at the manager's safe points and
@@ -62,7 +57,6 @@ mod hash;
 mod manager;
 mod node;
 mod relation;
-mod reorder;
 pub mod store;
 mod vec;
 
@@ -70,5 +64,4 @@ pub use budget::{Budget, BudgetExceeded};
 pub use manager::{BddManager, BddStats, GcStats};
 pub use node::{Bdd, Var};
 pub use relation::{ReachableSet, TransitionSystem};
-pub use reorder::{AutoReorderPolicy, ReorderStats};
 pub use vec::BddVec;

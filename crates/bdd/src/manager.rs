@@ -3,7 +3,6 @@
 use std::collections::{BTreeSet, HashMap};
 
 use crate::hash::FxMap;
-use std::time::Duration;
 
 use pv_obs::{Counter, Gauge};
 
@@ -11,7 +10,7 @@ use crate::budget::Budget;
 use crate::node::{Bdd, Node, Var, FREE_VAR, TERMINAL_VAR};
 
 /// Sentinel terminating the free-list chain threaded through reclaimed slots.
-pub(crate) const FREE_NIL: u32 = u32::MAX;
+const FREE_NIL: u32 = u32::MAX;
 
 // Process-global engine metrics (see DESIGN.md § "Observability"). The hot
 // counters (ITE cache traffic, store growth) are accumulated in plain
@@ -66,13 +65,6 @@ pub struct BddStats {
     /// Times the node store grew its backing allocation (a doubling of the
     /// `Vec`), the `bdd.unique.grow` metric.
     pub unique_grows: usize,
-    /// Number of dynamic-reordering passes performed
-    /// ([`reorder`](BddManager::reorder) and automatic triggers).
-    pub reorder_runs: usize,
-    /// Total adjacent-level swaps across all reordering passes.
-    pub reorder_swaps: usize,
-    /// Total wall-clock time spent reordering.
-    pub reorder_time: Duration,
 }
 
 /// Outcome of one mark-and-sweep collection.
@@ -103,16 +95,13 @@ pub struct GcStats {
 ///
 /// See the [crate-level documentation](crate) for an example.
 ///
-/// # Variable order and dynamic reordering
+/// # Variable order
 ///
-/// A variable's identity ([`Var`], stable for the life of the manager) is
-/// decoupled from its *level* — its position in the ROBDD order. Levels start
-/// out equal to allocation order and can be changed by the sifting-based
-/// reorderer ([`reorder`](Self::reorder), [`maybe_reorder`](Self::maybe_reorder));
-/// see the `reorder` module. Like a garbage collection, a reordering pass
-/// invalidates every handle that is not covered by the registered roots (or
-/// the extra roots passed to the reordering call); covered handles keep
-/// denoting the same Boolean function.
+/// The order is static: a variable's level is its index, so variables
+/// allocated earlier sit closer to the root. Callers choose the order by
+/// choosing the allocation order (see
+/// [`new_vars_interleaved`](Self::new_vars_interleaved)).
+///
 /// # Threading
 ///
 /// A manager is a plain owned value — node store, unique tables and caches
@@ -125,43 +114,28 @@ pub struct GcStats {
 /// compile-time fact rather than an accident of the field types.
 #[derive(Debug)]
 pub struct BddManager {
-    pub(crate) nodes: Vec<Node>,
+    nodes: Vec<Node>,
     /// Per-variable unique tables: `subtables[v]` maps `(lo, hi)` to the
     /// handle of the live node `(v, lo, hi)`. Keyed by children only — the
-    /// variable is the subtable index — so one level's nodes can be
-    /// enumerated and rewritten in `O(nodes at level)` during an
-    /// adjacent-level swap.
-    pub(crate) subtables: Vec<FxMap<(Bdd, Bdd), Bdd>>,
-    pub(crate) ite_cache: FxMap<(Bdd, Bdd, Bdd), Bdd>,
-    pub(crate) num_vars: u32,
-    /// `var2level[v]` is the current level (0 = topmost) of variable `v`.
-    pub(crate) var2level: Vec<u32>,
-    /// `level2var[l]` is the variable currently at level `l`.
-    pub(crate) level2var: Vec<u32>,
-    /// Reorder-group id per variable. Variables sharing a group occupy
-    /// contiguous levels in a fixed relative order and are moved as one block
-    /// by the sifting reorderer (see [`group_vars`](Self::group_vars)).
-    pub(crate) group_of: Vec<u32>,
-    pub(crate) next_group: u32,
+    /// variable is the subtable index — so each table stays small and the
+    /// sweep removes a dead node from the one table that can hold it.
+    subtables: Vec<FxMap<(Bdd, Bdd), Bdd>>,
+    ite_cache: FxMap<(Bdd, Bdd, Bdd), Bdd>,
+    num_vars: u32,
     /// Head of the free-list chained through reclaimed slots (`FREE_NIL` when
     /// empty).
-    pub(crate) free_head: u32,
-    pub(crate) free_count: usize,
+    free_head: u32,
+    free_count: usize,
     /// Registered GC roots with reference counts.
-    pub(crate) roots: FxMap<Bdd, usize>,
+    roots: FxMap<Bdd, usize>,
     /// Configured floor for the collection trigger (see
     /// [`set_gc_threshold`](Self::set_gc_threshold)).
     gc_floor: usize,
     /// Current live-node count above which [`maybe_gc`](Self::maybe_gc)
     /// collects; re-derived from the live set after every collection.
     gc_threshold: usize,
-    /// Automatic-reordering policy (see [`set_auto_reorder`](Self::set_auto_reorder)).
-    pub(crate) auto_reorder: crate::reorder::AutoReorderPolicy,
-    /// Current live-node count above which [`maybe_reorder`](Self::maybe_reorder)
-    /// sifts; re-derived adaptively after every reordering pass.
-    pub(crate) reorder_threshold: usize,
-    pub(crate) allocated: usize,
-    pub(crate) peak_live: usize,
+    allocated: usize,
+    peak_live: usize,
     gc_runs: usize,
     /// ITE memo-table traffic and store growth (see the module-level metric
     /// statics); `flushed_*` are the portions already pushed to the global
@@ -172,13 +146,10 @@ pub struct BddManager {
     flushed_ite_hits: usize,
     flushed_ite_misses: usize,
     flushed_unique_grows: usize,
-    pub(crate) reorder_runs: usize,
-    pub(crate) reorder_swaps: usize,
-    pub(crate) reorder_time: Duration,
     /// Optional resource budget (see [`set_budget`](Self::set_budget)):
-    /// checked unconditionally at the [`maybe_gc`](Self::maybe_gc) /
-    /// [`maybe_reorder`](Self::maybe_reorder) safe points and — amortized
-    /// over [`BUDGET_CHECK_INTERVAL`] misses — on the ITE cache-miss path.
+    /// checked unconditionally at the [`maybe_gc`](Self::maybe_gc) safe
+    /// point and — amortized over [`BUDGET_CHECK_INTERVAL`] misses — on the
+    /// ITE cache-miss path.
     budget: Option<Budget>,
     /// ITE-miss tick counter driving the amortized budget check.
     budget_tick: u32,
@@ -224,17 +195,11 @@ impl BddManager {
             subtables: Vec::new(),
             ite_cache: FxMap::default(),
             num_vars: 0,
-            var2level: Vec::new(),
-            level2var: Vec::new(),
-            group_of: Vec::new(),
-            next_group: 0,
             free_head: FREE_NIL,
             free_count: 0,
             roots: FxMap::default(),
             gc_floor: DEFAULT_GC_THRESHOLD,
             gc_threshold: DEFAULT_GC_THRESHOLD,
-            auto_reorder: crate::reorder::AutoReorderPolicy::Off,
-            reorder_threshold: usize::MAX,
             allocated: 2,
             peak_live: 2,
             gc_runs: 0,
@@ -244,20 +209,16 @@ impl BddManager {
             flushed_ite_hits: 0,
             flushed_ite_misses: 0,
             flushed_unique_grows: 0,
-            reorder_runs: 0,
-            reorder_swaps: 0,
-            reorder_time: Duration::ZERO,
             budget: None,
             budget_tick: 0,
         }
     }
 
     /// Attaches a resource [`Budget`]: the manager checks it at its safe
-    /// points (every [`maybe_gc`](Self::maybe_gc) /
-    /// [`maybe_reorder`](Self::maybe_reorder) call, and the ITE cache-miss
-    /// path once per `BUDGET_CHECK_INTERVAL` (1024) misses) and aborts an
-    /// exceeded computation by unwinding with a [`crate::BudgetExceeded`]
-    /// panic payload.
+    /// points (every [`maybe_gc`](Self::maybe_gc) call, and the ITE
+    /// cache-miss path once per `BUDGET_CHECK_INTERVAL` (1024) misses) and
+    /// aborts an exceeded computation by unwinding with a
+    /// [`crate::BudgetExceeded`] panic payload.
     ///
     /// Every table mutation between two check points completes atomically,
     /// so a caught abort leaves the manager allocation-consistent: it can be
@@ -282,7 +243,7 @@ impl BddManager {
     /// count, flushing the batched metrics and unwinding with the typed
     /// [`crate::BudgetExceeded`] payload when a bound is exceeded. Called
     /// only at safe points.
-    pub(crate) fn check_budget(&mut self) {
+    fn check_budget(&mut self) {
         let Some(budget) = &self.budget else { return };
         if let Err(exceeded) = budget.check(self.allocated) {
             // Leave the global metrics registry consistent with the work
@@ -306,14 +267,9 @@ impl BddManager {
         }
     }
 
-    /// Allocates a fresh variable at the bottom of the current order, in a
-    /// reorder group of its own.
+    /// Allocates a fresh variable at the bottom of the order.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.num_vars);
-        self.var2level.push(self.num_vars);
-        self.level2var.push(self.num_vars);
-        self.group_of.push(self.next_group);
-        self.next_group += 1;
         self.subtables.push(FxMap::default());
         self.num_vars += 1;
         v
@@ -335,20 +291,12 @@ impl BddManager {
     /// the other's is exponential (Bryant 1986). It is the default layout for
     /// operand pairs ([`crate::BddVec::new_interleaved`]) and for the
     /// present/next state families of [`crate::TransitionSystem`].
-    ///
-    /// Each rank — bit `i` of every family — is placed in one reorder group,
-    /// so dynamic reordering moves corresponding bits as a block and cannot
-    /// un-interleave the families (see [`group_vars`](Self::group_vars)).
     pub fn new_vars_interleaved(&mut self, families: usize, width: usize) -> Vec<Vec<Var>> {
         let mut out = vec![Vec::with_capacity(width); families];
         for _ in 0..width {
-            let mut rank = Vec::with_capacity(families);
             for family in out.iter_mut() {
-                let v = self.new_var();
-                family.push(v);
-                rank.push(v);
+                family.push(self.new_var());
             }
-            self.group_vars(&rank);
         }
         out
     }
@@ -358,91 +306,20 @@ impl BddManager {
         self.num_vars as usize
     }
 
-    // ------------------------------------------------------ variable order --
+    /// Former reorder-group declaration; the order is static, so this does
+    /// nothing. The benchmark replay is its only caller, and it goes once a
+    /// benchmark change drops that call.
+    #[doc(hidden)]
+    #[deprecated(note = "the variable order is static; there are no reorder groups")]
+    pub fn group_vars(&mut self, _vars: &[Var]) {}
 
-    /// Current level of `v` in the variable order (0 = topmost). Levels change
-    /// under dynamic reordering; the variable's [`Var::index`] does not.
-    ///
-    /// # Panics
-    /// Panics if `v` was not allocated by this manager.
-    pub fn level_of(&self, v: Var) -> usize {
-        assert!(
-            v.0 < self.num_vars,
-            "variable {v} not allocated in this manager"
-        );
-        self.var2level[v.0 as usize] as usize
-    }
-
-    /// The variable currently at `level`.
-    ///
-    /// # Panics
-    /// Panics if `level >= var_count()`.
-    pub fn var_at_level(&self, level: usize) -> Var {
-        Var(self.level2var[level])
-    }
-
-    /// The current variable order, topmost first.
-    pub fn current_order(&self) -> Vec<Var> {
-        self.level2var.iter().map(|&v| Var(v)).collect()
-    }
-
-    /// Places `vars` into one reorder group: dynamic reordering will keep
-    /// them at contiguous levels in their current relative order and move
-    /// them as a single block. Use this for the bits of a word (or for
-    /// present/next state pairs) whose adjacency a reordering pass must not
-    /// destroy — the interleaving wins of
-    /// [`new_vars_interleaved`](Self::new_vars_interleaved) and the
-    /// order-preservation requirement of [`replace`](Self::replace) both
-    /// depend on it.
-    ///
-    /// # Panics
-    /// Panics if the variables do not currently occupy contiguous levels, or
-    /// if any of them belongs to a multi-variable group that is not wholly
-    /// contained in `vars` (merging whole groups into a larger one is
-    /// allowed; splitting a group is not).
-    pub fn group_vars(&mut self, vars: &[Var]) {
-        if vars.len() < 2 {
-            return;
-        }
-        let mut levels: Vec<u32> = vars.iter().map(|&v| self.var2level[v.0 as usize]).collect();
-        levels.sort_unstable();
-        for w in levels.windows(2) {
-            assert_eq!(
-                w[0] + 1,
-                w[1],
-                "grouped variables must occupy contiguous levels"
-            );
-        }
-        let members: std::collections::HashSet<u32> = vars.iter().map(|v| v.0).collect();
-        for &v in vars {
-            let g = self.group_of[v.0 as usize];
-            let group_contained = self
-                .group_of
-                .iter()
-                .enumerate()
-                .filter(|&(_, &x)| x == g)
-                .all(|(w, _)| members.contains(&(w as u32)));
-            assert!(
-                group_contained,
-                "variable {v} is in a multi-variable group not wholly contained in the new group"
-            );
-        }
-        let group = self.group_of[vars[0].0 as usize];
-        for &v in vars {
-            self.group_of[v.0 as usize] = group;
-        }
-    }
-
-    /// Current level of a raw variable index; terminals (and reclaimed slots)
-    /// order below every real variable.
-    #[inline]
-    pub(crate) fn lvl(&self, var: u32) -> u32 {
-        if var >= self.num_vars {
-            u32::MAX
-        } else {
-            self.var2level[var as usize]
-        }
-    }
+    /// Former dynamic-reordering safe point; the order is static, so this
+    /// does nothing. The benchmark replay is its only caller (it calls
+    /// [`maybe_gc`](Self::maybe_gc) right after, which checks the budget),
+    /// and it goes once a benchmark change drops that call.
+    #[doc(hidden)]
+    #[deprecated(note = "the variable order is static; there is nothing to reorder")]
+    pub fn maybe_reorder(&mut self, _extra_roots: &[Bdd]) {}
 
     /// Returns the constant function for `value`.
     pub fn constant(&self, value: bool) -> Bdd {
@@ -487,7 +364,7 @@ impl BddManager {
     /// complemented-edge form: the stored *then* edge is always regular. A
     /// complemented `hi` is pushed into both children and the returned handle
     /// is complemented instead, so `f` and `¬f` share one stored subgraph.
-    pub(crate) fn mk(&mut self, var: u32, lo: Bdd, hi: Bdd) -> Bdd {
+    fn mk(&mut self, var: u32, lo: Bdd, hi: Bdd) -> Bdd {
         if lo == hi {
             return lo;
         }
@@ -511,9 +388,8 @@ impl BddManager {
 
     /// Allocates a table slot for a (not yet hash-consed, canonical-form)
     /// node, reusing the free list, and enters it into its variable's
-    /// subtable — the one allocation protocol shared by [`mk`](Self::mk) and
-    /// the reorderer's refcounting `mk_ref`. Returns the regular handle.
-    pub(crate) fn alloc_node(&mut self, node: Node) -> Bdd {
+    /// subtable. Returns the regular handle.
+    fn alloc_node(&mut self, node: Node) -> Bdd {
         debug_assert!(!node.hi.is_compl(), "canonical form: then edge regular");
         let idx = if self.free_head != FREE_NIL {
             let idx = self.free_head;
@@ -543,7 +419,7 @@ impl BddManager {
     /// `b`'s complement attribute to the children (or use
     /// [`cofactors`](Self::cofactors), which does).
     #[inline]
-    pub(crate) fn node(&self, b: Bdd) -> Node {
+    fn node(&self, b: Bdd) -> Node {
         let n = self.nodes[b.index()];
         debug_assert!(!n.is_free(), "dangling handle {b}: slot was reclaimed");
         n
@@ -552,7 +428,7 @@ impl BddManager {
     /// The decision variable and **attribute-adjusted** children of a
     /// non-constant handle: a complemented edge complements both cofactors.
     #[inline]
-    pub(crate) fn cofactors(&self, f: Bdd) -> (u32, Bdd, Bdd) {
+    fn cofactors(&self, f: Bdd) -> (u32, Bdd, Bdd) {
         let n = self.node(f);
         let c = f.0 & 1;
         (n.var, Bdd(n.lo.0 ^ c), Bdd(n.hi.0 ^ c))
@@ -711,13 +587,7 @@ impl BddManager {
         } else {
             self.node(h).var
         };
-        let mut top = vf;
-        if self.lvl(vg) < self.lvl(top) {
-            top = vg;
-        }
-        if self.lvl(vh) < self.lvl(top) {
-            top = vh;
-        }
+        let top = vf.min(vg).min(vh);
         let (f0, f1) = self.split(f, top);
         let (g0, g1) = self.split(g, top);
         let (h0, h1) = self.split(h, top);
@@ -838,7 +708,7 @@ impl BddManager {
         let compl = f.is_compl();
         let f = f.regular();
         let n = self.node(f);
-        if self.lvl(n.var) > self.lvl(var) {
+        if n.var > var {
             return if compl { f.negate() } else { f };
         }
         if let Some(&r) = memo.get(&f) {
@@ -917,7 +787,7 @@ impl BddManager {
         }
         let vf = self.node(f).var;
         let vc = self.node(care).var;
-        let top = if self.lvl(vc) < self.lvl(vf) { vc } else { vf };
+        let top = vf.min(vc);
         let (f0, f1) = self.split(f, top);
         let (c0, c1) = self.split(care, top);
         let result = if c0.is_false() {
@@ -940,19 +810,9 @@ impl BddManager {
     /// Existential quantification (the *smoothing* operator `S_x f` of
     /// Definition 3.3.1): `∃ vars . f`.
     pub fn exists(&mut self, f: Bdd, vars: &[Var]) -> Bdd {
-        let sorted = self.sorted_by_level(vars);
+        let sorted = sorted_indices(vars);
         let mut memo = FxMap::default();
         self.exists_rec(f, &sorted, &mut memo)
-    }
-
-    /// The raw indices of `vars`, deduplicated and sorted by **current level**
-    /// — the order the top-down quantification recursions consume them in.
-    fn sorted_by_level(&self, vars: &[Var]) -> Vec<u32> {
-        let mut sorted: Vec<u32> = vars.iter().map(|v| v.0).collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted.sort_unstable_by_key(|&v| self.lvl(v));
-        sorted
     }
 
     /// Existential quantification does **not** commute with negation
@@ -964,8 +824,7 @@ impl BddManager {
         }
         let (var, f0, f1) = self.cofactors(f);
         // Skip quantified variables that are above the root of f.
-        let root_level = self.lvl(var);
-        let pos = vars.partition_point(|&v| self.lvl(v) < root_level);
+        let pos = vars.partition_point(|&v| v < var);
         let vars = &vars[pos..];
         if vars.is_empty() {
             return f;
@@ -997,7 +856,7 @@ impl BddManager {
     /// `∃ vars . (f ∧ g)`, computed in one recursive pass as described for the
     /// image computation of Section 3.3 (Burch et al. 1990).
     pub fn and_exists(&mut self, f: Bdd, g: Bdd, vars: &[Var]) -> Bdd {
-        let sorted = self.sorted_by_level(vars);
+        let sorted = sorted_indices(vars);
         let mut memo = FxMap::default();
         self.and_exists_rec(f, g, &sorted, &mut memo)
     }
@@ -1039,9 +898,8 @@ impl BddManager {
         } else {
             self.node(g).var
         };
-        let top = if self.lvl(vg) < self.lvl(vf) { vg } else { vf };
-        let top_level = self.lvl(top);
-        let pos = vars.partition_point(|&v| self.lvl(v) < top_level);
+        let top = vf.min(vg);
+        let pos = vars.partition_point(|&v| v < top);
         let vars_below = &vars[pos..];
         let (f0, f1) = self.split(f, top);
         let (g0, g1) = self.split(g, top);
@@ -1072,26 +930,22 @@ impl BddManager {
     /// Replaces each variable of `f` that appears as a key of `map` with the
     /// corresponding value.
     ///
-    /// When the replacement is *order-preserving* on `f`'s support — mapped
-    /// variables keep their relative **level** order and none crosses an
-    /// unmapped support variable — the substitution is a single linear
-    /// rewriting pass. This is the case for the interleaved present/next
-    /// state layout used by [`crate::TransitionSystem`], and stays the case
-    /// under dynamic reordering when each present/next pair shares a reorder
-    /// group (see [`group_vars`](Self::group_vars)). Otherwise — e.g. after
-    /// sifting an ungrouped layout — the substitution falls back to one
-    /// functional composition per mapped variable, which is slower but
-    /// correct for any order.
+    /// The substitution is first tried as a single linear pass that renames
+    /// the decision variable of each node in place. That pass is valid while
+    /// every renamed decision stays above both of its rewritten children,
+    /// which always holds for the interleaved present/next state layout used
+    /// by [`crate::TransitionSystem`]. When a map would carry a variable to
+    /// or across another variable below it — two mapped variables swapping
+    /// their relative order, or one moving past an unmapped support
+    /// variable — the pass stops (the nodes it built are garbage) and the
+    /// substitution falls back to one functional composition per mapped
+    /// variable, which is slower but correct for any map onto variables
+    /// outside `f`'s support.
     pub fn replace(&mut self, f: Bdd, map: &HashMap<Var, Var>) -> Bdd {
         let raw: FxMap<u32, u32> = map.iter().map(|(k, v)| (k.0, v.0)).collect();
-        // While no reordering pass has ever run, levels are identical to
-        // allocation order and the caller-supplied layouts (interleaved
-        // present/next pairs) are monotone by construction — skip the
-        // support scan on this hot path; `replace_rec` keeps its
-        // per-node debug assertion either way.
-        if self.reorder_runs == 0 || self.replace_is_monotone(f, &raw) {
-            let mut memo = FxMap::default();
-            return self.replace_rec(f, &raw, &mut memo);
+        let mut memo = FxMap::default();
+        if let Some(renamed) = self.replace_rec(f, &raw, &mut memo) {
+            return renamed;
         }
         // General rename: compose out one mapped variable at a time. Correct
         // regardless of order because the map is a rename onto fresh
@@ -1108,64 +962,36 @@ impl BddManager {
         acc
     }
 
-    /// `true` when rewriting `f`'s mapped variables in place cannot violate
-    /// the level order: mapped support variables keep their relative order
-    /// and no mapped variable moves across an unmapped support variable.
-    fn replace_is_monotone(&self, f: Bdd, map: &FxMap<u32, u32>) -> bool {
-        let support = self.support(f);
-        let mut mapped: Vec<(u32, u32)> = Vec::new(); // (old level, new level)
-        let mut unmapped_levels: Vec<u32> = Vec::new();
-        for v in support {
-            match map.get(&v.0) {
-                Some(&to) => mapped.push((self.lvl(v.0), self.lvl(to))),
-                None => unmapped_levels.push(self.lvl(v.0)),
-            }
-        }
-        mapped.sort_unstable();
-        if mapped.windows(2).any(|w| w[0].1 >= w[1].1) {
-            return false;
-        }
-        // No unmapped support variable may lie strictly between a mapped
-        // variable's old and new levels (the rewrite would carry the mapped
-        // decision across it).
-        unmapped_levels.sort_unstable();
-        mapped.iter().all(|&(from, to)| {
-            let (low, high) = if from < to { (from, to) } else { (to, from) };
-            let first_inside = unmapped_levels.partition_point(|&l| l <= low);
-            unmapped_levels[first_inside..].iter().all(|&l| l >= high)
-        })
-    }
-
-    /// Variable renaming commutes with negation, so the recursion strips the
-    /// complement attribute and memoizes on the regular handle.
-    fn replace_rec(&mut self, f: Bdd, map: &FxMap<u32, u32>, memo: &mut FxMap<Bdd, Bdd>) -> Bdd {
+    /// The in-place rename of [`replace`](Self::replace), or `None` as soon
+    /// as a renamed decision would not sit strictly above both rewritten
+    /// children (the result would not be an ordered BDD). Renaming commutes
+    /// with negation, so the recursion strips the complement attribute and
+    /// memoizes on the regular handle.
+    fn replace_rec(
+        &mut self,
+        f: Bdd,
+        map: &FxMap<u32, u32>,
+        memo: &mut FxMap<Bdd, Bdd>,
+    ) -> Option<Bdd> {
         if f.is_const() {
-            return f;
+            return Some(f);
         }
         let compl = f.is_compl();
         let f = f.regular();
         if let Some(&r) = memo.get(&f) {
-            return if compl { r.negate() } else { r };
+            return Some(if compl { r.negate() } else { r });
         }
         let n = self.node(f);
-        let lo = self.replace_rec(n.lo, map, memo);
-        let hi = self.replace_rec(n.hi, map, memo);
+        let lo = self.replace_rec(n.lo, map, memo)?;
+        let hi = self.replace_rec(n.hi, map, memo)?;
         let new_var = *map.get(&n.var).unwrap_or(&n.var);
-        debug_assert!(
-            self.top_var(lo)
-                .is_none_or(|v| self.lvl(v.0) > self.lvl(new_var))
-                && self
-                    .top_var(hi)
-                    .is_none_or(|v| self.lvl(v.0) > self.lvl(new_var)),
-            "non-monotone variable replacement"
-        );
+        let below = |b: Bdd| b.is_const() || self.node(b).var > new_var;
+        if !(below(lo) && below(hi)) {
+            return None;
+        }
         let result = self.mk(new_var, lo, hi);
         memo.insert(f, result);
-        if compl {
-            result.negate()
-        } else {
-            result
-        }
+        Some(if compl { result.negate() } else { result })
     }
 
     // -------------------------------------------------- garbage collection --
@@ -1468,14 +1294,13 @@ impl BddManager {
     /// Enumerates every satisfying total assignment of `f` over `vars`,
     /// calling `visit` with each. Intended for small variable sets (tests and
     /// counterexample expansion); the number of calls is exponential in
-    /// `vars.len()`. The assignment pairs are presented in the current
-    /// variable order (topmost first), which the enumeration needs to proceed
-    /// top-down.
+    /// `vars.len()`. The assignment pairs are presented in variable order
+    /// (topmost first), which the enumeration needs to proceed top-down.
     pub fn for_each_model<F: FnMut(&[(Var, bool)])>(&self, f: Bdd, vars: &[Var], mut visit: F) {
-        let mut by_level: Vec<Var> = vars.to_vec();
-        by_level.sort_unstable_by_key(|&v| self.lvl(v.0));
-        let mut assignment: Vec<(Var, bool)> = Vec::with_capacity(by_level.len());
-        self.for_each_model_rec(f, &by_level, &mut assignment, &mut visit);
+        let mut sorted: Vec<Var> = vars.to_vec();
+        sorted.sort_unstable();
+        let mut assignment: Vec<(Var, bool)> = Vec::with_capacity(sorted.len());
+        self.for_each_model_rec(f, &sorted, &mut assignment, &mut visit);
     }
 
     fn for_each_model_rec<F: FnMut(&[(Var, bool)])>(
@@ -1535,9 +1360,6 @@ impl BddManager {
             ite_hits: self.ite_hits,
             ite_misses: self.ite_misses,
             unique_grows: self.unique_grows,
-            reorder_runs: self.reorder_runs,
-            reorder_swaps: self.reorder_swaps,
-            reorder_time: self.reorder_time,
         }
     }
 
@@ -1547,6 +1369,15 @@ impl BddManager {
     pub fn total_nodes(&self) -> usize {
         self.allocated
     }
+}
+
+/// The raw indices of `vars`, deduplicated and sorted — the order the
+/// top-down quantification recursions consume them in.
+fn sorted_indices(vars: &[Var]) -> Vec<u32> {
+    let mut sorted: Vec<u32> = vars.iter().map(|v| v.0).collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted
 }
 
 impl Drop for BddManager {
@@ -1677,6 +1508,22 @@ mod tests {
     }
 
     #[test]
+    fn replace_across_a_support_variable_stays_canonical() {
+        // {x0 → x2} on x0 ∧ x1 carries the x0 decision below x1: an in-place
+        // rewrite would put x2 above x1 and break the order, so `replace`
+        // must take the composition path.
+        let (mut m, v) = setup(3);
+        let (x0, x1, x2) = (m.var(v[0]), m.var(v[1]), m.var(v[2]));
+        let f = m.and(x0, x1);
+        let map = HashMap::from([(v[0], v[2])]);
+        let g = m.replace(f, &map);
+        let expect = m.and(x1, x2);
+        assert_eq!(g, expect);
+        assert!(m.restrict(g, v[1], false).is_false());
+        assert_eq!(m.restrict(g, v[1], true), x2);
+    }
+
+    #[test]
     fn sat_queries() {
         let (mut m, v) = setup(4);
         let lits: Vec<Bdd> = v.iter().map(|&x| m.var(x)).collect();
@@ -1711,26 +1558,6 @@ mod tests {
         assert_eq!(m.stats().vars, 8);
         assert_eq!(m.stats().allocated, m.total_nodes());
         assert!(m.stats().peak_live >= m.stats().nodes);
-    }
-
-    #[test]
-    fn group_vars_merge_rules_are_symmetric() {
-        let mut m = BddManager::new();
-        let v = m.new_vars(4);
-        m.group_vars(&[v[0], v[1]]);
-        // Growing an existing group is allowed from either direction...
-        m.group_vars(&[v[0], v[1], v[2]]);
-        let g = m.new_vars(2);
-        m.group_vars(&[g[1], g[0]]);
-        // ...but splitting one is rejected regardless of argument order.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.group_vars(&[v[2], v[3]]);
-        }));
-        assert!(result.is_err(), "splitting a group must panic");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.group_vars(&[v[3], v[2]]);
-        }));
-        assert!(result.is_err(), "argument order must not matter");
     }
 
     #[test]

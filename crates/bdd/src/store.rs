@@ -3,9 +3,10 @@
 //! rebuilds the functions in another (typically fresh) manager.
 //!
 //! The format is line-oriented and designed for content addressing: exporting
-//! the same functions from managers in any reordering state produces
-//! byte-identical text, so a hash of the export is a stable fingerprint of
-//! the *functions*, not of the manager they happened to live in.
+//! the same functions from any two managers produces byte-identical text,
+//! whatever node slots and allocation history the functions have there, so a
+//! hash of the export is a stable fingerprint of the *functions*, not of the
+//! manager they happened to live in.
 //!
 //! ```text
 //! .pvdd 2                     header: format name + version
@@ -27,11 +28,10 @@
 //! never as misread garbage.
 //!
 //! Node records are written children-first (a child id is always smaller than
-//! its parent's id), variables are the **stable variable indices**
-//! ([`Var::index`]) rather than current levels, and ids are assigned in
-//! depth-first postorder from the roots in the order given, so the text is a
-//! canonical function of `(roots, functions)` given the manager's variable
-//! order.
+//! its parent's id), variables are the **variable indices**
+//! ([`Var::index`]), and ids are assigned in depth-first postorder from the
+//! roots in the order given, so the text is a canonical function of
+//! `(roots, functions)`.
 //!
 //! Round trip:
 //!

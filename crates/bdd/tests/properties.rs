@@ -1,6 +1,8 @@
 //! Property-based tests of the ROBDD manager: Boolean-algebra laws, agreement
-//! with truth-table semantics, quantifier laws, and bit-vector arithmetic
-//! against native `u64` arithmetic.
+//! with truth-table semantics, quantifier laws, variable replacement against
+//! composition, and bit-vector arithmetic against native `u64` arithmetic.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 use pv_bdd::{Bdd, BddManager, BddVec, Var};
@@ -104,6 +106,44 @@ proptest! {
         let direct = m.and_exists(f, g, &[v]);
         let composed = { let t = m.and(f, g); m.exists(t, &[v]) };
         prop_assert_eq!(direct, composed);
+    }
+
+    /// `replace` under a random injective map onto fresh variables equals
+    /// the reference of one `compose` per mapped variable, handle for
+    /// handle. The interleaved layout gives monotone maps (the present→next
+    /// rename, one linear rewrite); the shuffled layout mostly gives maps
+    /// that carry a variable across another support variable or reverse two
+    /// mapped variables (the composition path).
+    #[test]
+    fn replace_matches_per_variable_composition(
+        e in arb_expr(NVARS, 4),
+        keys in proptest::collection::vec(0u32..1000, 2 * NVARS..2 * NVARS + 1),
+        mapped in proptest::collection::vec(proptest::bool::ANY, NVARS..NVARS + 1),
+        interleaved in proptest::bool::ANY,
+    ) {
+        let mut m = BddManager::new();
+        let all = m.new_vars(2 * NVARS);
+        // Positions of the source variables, then of their fresh targets.
+        let layout: Vec<usize> = if interleaved {
+            (0..NVARS).map(|i| 2 * i).chain((0..NVARS).map(|i| 2 * i + 1)).collect()
+        } else {
+            let mut order: Vec<usize> = (0..2 * NVARS).collect();
+            order.sort_by_key(|&i| (keys[i], i));
+            order
+        };
+        let sources: Vec<Var> = layout[..NVARS].iter().map(|&i| all[i]).collect();
+        let targets: Vec<Var> = layout[NVARS..].iter().map(|&i| all[i]).collect();
+        let f = build(&mut m, &sources, &e);
+        let map: HashMap<Var, Var> = (0..NVARS)
+            .filter(|&i| mapped[i])
+            .map(|i| (sources[i], targets[i]))
+            .collect();
+        let mut reference = f;
+        for (&from, &to) in &map {
+            let projection = m.var(to);
+            reference = m.compose(reference, from, projection);
+        }
+        prop_assert_eq!(m.replace(f, &map), reference);
     }
 
     /// Model counting matches brute-force enumeration.

@@ -78,7 +78,12 @@ static M_CACHE_CORRUPT: Counter = Counter::new("cache.corrupt");
 /// store format moved to version 2 (`pv_bdd::store::FORMAT_VERSION`).
 /// Pre-complement artifacts are unreadable by the new importer, so the epoch
 /// bump retires them as clean cache misses rather than decode errors.
-pub const ENGINE_EPOCH: u32 = 3;
+///
+/// Epoch 4: dynamic variable reordering was removed, and with it the
+/// `bdd_reorders`, `bdd_reorder_swaps` and `bdd_reorder_time_ns` fields of
+/// every plan report. Report bytes change for identical inputs, so the bump
+/// turns epoch-3 entries into cache misses.
+pub const ENGINE_EPOCH: u32 = 4;
 
 /// Environment variable overriding the default cache directory.
 pub const PV_CACHE_DIR: &str = "PV_CACHE_DIR";
