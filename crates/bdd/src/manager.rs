@@ -1,6 +1,7 @@
 //! The ROBDD manager: node store, hash-consing and the core operations.
 
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 
 use crate::hash::FxMap;
 
@@ -13,12 +14,14 @@ use crate::node::{Bdd, Node, Var, FREE_VAR, TERMINAL_VAR};
 const FREE_NIL: u32 = u32::MAX;
 
 // Process-global engine metrics (see DESIGN.md § "Observability"). The hot
-// counters (ITE cache traffic, store growth) are accumulated in plain
+// counters (computed-table traffic, store growth) are accumulated in plain
 // per-manager fields — `ite` runs tens of millions of times per simulation,
 // and an atomic op per call would be measurable — and flushed here in
 // batches at every garbage collection and on manager drop.
 static M_ITE_HIT: Counter = Counter::new("bdd.ite.cache_hit");
 static M_ITE_MISS: Counter = Counter::new("bdd.ite.cache_miss");
+static M_CONSTRAIN_HIT: Counter = Counter::new("bdd.constrain.cache_hit");
+static M_CONSTRAIN_MISS: Counter = Counter::new("bdd.constrain.cache_miss");
 static M_UNIQUE_GROW: Counter = Counter::new("bdd.unique.grow");
 static M_GC_RUNS: Counter = Counter::new("bdd.gc.runs");
 static M_GC_COLLECTED: Counter = Counter::new("bdd.gc.collected");
@@ -39,6 +42,77 @@ const DEFAULT_GC_THRESHOLD: usize = 1 << 20;
 /// case.
 const BUDGET_CHECK_INTERVAL: u32 = 1 << 10;
 
+/// The operator of a computed-table entry other than `ite`, with its key
+/// rule (see [`Key`] for the packing).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Op {
+    /// `constrain(f, care)`: regular `f`, attributed `care`.
+    Constrain,
+    /// `restrict(f, var, value)`: regular `f`; the variable and the value
+    /// in the aux.
+    Restrict,
+    /// `exists(f, vars)`: attributed `f`; the interned var-set id in the
+    /// aux.
+    Exists,
+    /// `and_exists(f, g, vars)`: both attributed handles in ascending
+    /// order; the interned var-set id in the aux.
+    AndExists,
+}
+
+/// Bits of a tagged key's header word left for the aux operand.
+const AUX_BITS: u32 = 29;
+
+/// A computed-table key: `(op, a, b, c)` packed into three words, so that
+/// an entry is no larger than an entry of a bare ITE cache.
+///
+/// An ITE key is its standard triple `[f, g, h]`. Its `f` is regular, so
+/// the first word is even. Every other key starts with an odd header word
+/// `aux << 3 | op << 1 | 1` and carries its node operands in the other two
+/// words; a unary operator fills the third with the constant true, which
+/// never dies. The aux is the variable and value of `restrict` or the
+/// var-set id of a quantifier.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Key([u32; 3]);
+
+impl Key {
+    #[inline]
+    fn ite(f: Bdd, g: Bdd, h: Bdd) -> Self {
+        debug_assert!(!f.is_compl(), "standard triple: regular condition");
+        Key([f.0, g.0, h.0])
+    }
+
+    /// A tagged key. Variable indices and var-set ids stay far below the
+    /// aux limit in any manager that fits in memory; the assert turns an
+    /// overflow into a panic rather than a key that aliases another.
+    #[inline]
+    fn tagged(op: Op, aux: u32, x: Bdd, y: Bdd) -> Self {
+        assert!(aux < 1 << AUX_BITS, "computed-table aux operand overflows");
+        Key([aux << 3 | (op as u32) << 1 | 1, x.0, y.0])
+    }
+
+    /// The words that are node handles — the words a collection checks for
+    /// liveness.
+    fn handles(&self) -> &[u32] {
+        if self.0[0] & 1 == 0 {
+            &self.0
+        } else {
+            &self.0[1..]
+        }
+    }
+}
+
+impl Hash for Key {
+    /// One multiplicative mix per word. (A derived `Hash` would hash the
+    /// array as a slice: a length word, then two words packed into one
+    /// 64-bit mix, where the high word never reaches the bucket index.)
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &word in &self.0 {
+            state.write_u32(word);
+        }
+    }
+}
+
 /// Summary statistics of a [`BddManager`], useful for reproducing the
 /// "limited by the computational power of BDDs" observations of Chapter 6.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -54,14 +128,20 @@ pub struct BddStats {
     pub gc_runs: usize,
     /// Number of allocated variables.
     pub vars: usize,
-    /// Number of entries in the if-then-else memo table.
-    pub ite_cache_entries: usize,
-    /// [`ite`](BddManager::ite) calls answered from the memo table.
+    /// Number of entries in the computed table, over every operator.
+    pub computed_entries: usize,
+    /// [`ite`](BddManager::ite) calls answered from the computed table.
     pub ite_hits: usize,
     /// [`ite`](BddManager::ite) calls (top-level or recursive) that had to
     /// compute their result. `ite_hits / (ite_hits + ite_misses)` is the
     /// cache hit-rate the perf-smoke gate records per workload.
     pub ite_misses: usize,
+    /// [`constrain`](BddManager::constrain) calls (top-level or recursive)
+    /// answered from the computed table.
+    pub constrain_hits: usize,
+    /// [`constrain`](BddManager::constrain) calls (top-level or recursive)
+    /// that had to compute their result.
+    pub constrain_misses: usize,
     /// Times the node store grew its backing allocation (a doubling of the
     /// `Vec`), the `bdd.unique.grow` metric.
     pub unique_grows: usize,
@@ -120,7 +200,15 @@ pub struct BddManager {
     /// variable is the subtable index — so each table stays small and the
     /// sweep removes a dead node from the one table that can hold it.
     subtables: Vec<FxMap<(Bdd, Bdd), Bdd>>,
-    ite_cache: FxMap<(Bdd, Bdd, Bdd), Bdd>,
+    /// The computed table: one lossless memo for every operator except
+    /// [`replace`](Self::replace), keyed by `(op, a, b, c)` and persistent
+    /// across calls. A collection drops the entries that name a dead node.
+    computed: FxMap<Key, Bdd>,
+    /// Var-set ids for the quantifier keys: each distinct sorted index list
+    /// passed to [`exists`](Self::exists) or
+    /// [`and_exists`](Self::and_exists) gets the next id. Ids name sets,
+    /// not nodes, so they stay valid for the manager's lifetime.
+    var_sets: FxMap<Box<[u32]>, u32>,
     num_vars: u32,
     /// Head of the free-list chained through reclaimed slots (`FREE_NIL` when
     /// empty).
@@ -137,14 +225,19 @@ pub struct BddManager {
     allocated: usize,
     peak_live: usize,
     gc_runs: usize,
-    /// ITE memo-table traffic and store growth (see the module-level metric
-    /// statics); `flushed_*` are the portions already pushed to the global
-    /// registry, so a flush only adds the delta.
+    /// Computed-table traffic of `ite` and `constrain`, and store growth
+    /// (see the module-level metric statics); `flushed_*` are the portions
+    /// already pushed to the global registry, so a flush only adds the
+    /// delta.
     ite_hits: usize,
     ite_misses: usize,
+    constrain_hits: usize,
+    constrain_misses: usize,
     unique_grows: usize,
     flushed_ite_hits: usize,
     flushed_ite_misses: usize,
+    flushed_constrain_hits: usize,
+    flushed_constrain_misses: usize,
     flushed_unique_grows: usize,
     /// Optional resource budget (see [`set_budget`](Self::set_budget)):
     /// checked unconditionally at the [`maybe_gc`](Self::maybe_gc) safe
@@ -193,7 +286,8 @@ impl BddManager {
         BddManager {
             nodes: vec![terminal, reserved],
             subtables: Vec::new(),
-            ite_cache: FxMap::default(),
+            computed: FxMap::default(),
+            var_sets: FxMap::default(),
             num_vars: 0,
             free_head: FREE_NIL,
             free_count: 0,
@@ -205,9 +299,13 @@ impl BddManager {
             gc_runs: 0,
             ite_hits: 0,
             ite_misses: 0,
+            constrain_hits: 0,
+            constrain_misses: 0,
             unique_grows: 0,
             flushed_ite_hits: 0,
             flushed_ite_misses: 0,
+            flushed_constrain_hits: 0,
+            flushed_constrain_misses: 0,
             flushed_unique_grows: 0,
             budget: None,
             budget_tick: 0,
@@ -481,14 +579,14 @@ impl BddManager {
     /// If-then-else: `f·g + ¬f·h`, the core memoized operation.
     ///
     /// Arguments are rewritten to the Brace–Rudell–Bryant **standard
-    /// triple** before the memo lookup: trivial and complement patterns are
-    /// resolved without recursion, commutative forms (`∧`, `∨`, `⊕`, `≡`)
-    /// pick one canonical argument order, the first argument is made regular
-    /// (`ite(¬f,g,h) = ite(f,h,g)`) and a complemented second argument is
-    /// extracted as an output complement (`ite(f,g,h) = ¬ite(f,¬g,¬h)`). All
-    /// the equivalent ways of phrasing one Boolean step — `f∧g` vs `¬(¬f∨¬g)`,
-    /// `f⊕g` vs `¬(f≡g)` — therefore share a single cache entry and a single
-    /// stored subgraph.
+    /// triple** before the computed-table lookup: trivial and complement
+    /// patterns are resolved without recursion, commutative forms (`∧`, `∨`,
+    /// `⊕`, `≡`) pick one canonical argument order, the first argument is
+    /// made regular (`ite(¬f,g,h) = ite(f,h,g)`) and a complemented second
+    /// argument is extracted as an output complement
+    /// (`ite(f,g,h) = ¬ite(f,¬g,¬h)`). All the equivalent ways of phrasing
+    /// one Boolean step — `f∧g` vs `¬(¬f∨¬g)`, `f⊕g` vs `¬(f≡g)` — therefore
+    /// share a single cache entry and a single stored subgraph.
     pub fn ite(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Bdd {
         // Terminal cases.
         if f.is_true() {
@@ -569,8 +667,8 @@ impl BddManager {
             g = g.negate();
             h = h.negate();
         }
-        let key = (f, g, h);
-        if let Some(&r) = self.ite_cache.get(&key) {
+        let key = Key::ite(f, g, h);
+        if let Some(&r) = self.computed.get(&key) {
             self.ite_hits += 1;
             return if compl { r.negate() } else { r };
         }
@@ -594,7 +692,7 @@ impl BddManager {
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
         let result = self.mk(top, lo, hi);
-        self.ite_cache.insert(key, result);
+        self.computed.insert(key, result);
         if compl {
             result.negate()
         } else {
@@ -693,39 +791,36 @@ impl BddManager {
     ///
     /// This is the cofactoring operation used to constrain the transition
     /// relation to a particular instruction class (Section 5.2).
-    pub fn restrict(&mut self, f: Bdd, var: Var, value: bool) -> Bdd {
-        let mut memo = FxMap::default();
-        self.restrict_rec(f, var.0, value, &mut memo)
-    }
-
+    ///
     /// Restriction commutes with negation, so the recursion strips the
-    /// complement attribute, memoizes on the regular handle only (halving the
-    /// memo) and re-applies the attribute to the result.
-    fn restrict_rec(&mut self, f: Bdd, var: u32, value: bool, memo: &mut FxMap<Bdd, Bdd>) -> Bdd {
+    /// complement attribute, keys the computed table on
+    /// `(regular f, var, value)` and re-applies the attribute to the result.
+    pub fn restrict(&mut self, f: Bdd, var: Var, value: bool) -> Bdd {
         if f.is_const() {
             return f;
         }
         let compl = f.is_compl();
         let f = f.regular();
         let n = self.node(f);
-        if n.var > var {
+        if n.var > var.0 {
             return if compl { f.negate() } else { f };
         }
-        if let Some(&r) = memo.get(&f) {
+        let key = Key::tagged(Op::Restrict, var.0 << 1 | u32::from(value), f, Bdd::TRUE);
+        if let Some(&r) = self.computed.get(&key) {
             return if compl { r.negate() } else { r };
         }
-        let result = if n.var == var {
+        let result = if n.var == var.0 {
             if value {
                 n.hi
             } else {
                 n.lo
             }
         } else {
-            let lo = self.restrict_rec(n.lo, var, value, memo);
-            let hi = self.restrict_rec(n.hi, var, value, memo);
+            let lo = self.restrict(n.lo, var, value);
+            let hi = self.restrict(n.hi, var, value);
             self.mk(n.var, lo, hi)
         };
-        memo.insert(f, result);
+        self.computed.insert(key, result);
         if compl {
             result.negate()
         } else {
@@ -751,7 +846,10 @@ impl BddManager {
     /// it with the instruction-class constraint as the care set, which removes
     /// the instruction behaviours outside the class from the simulated state
     /// functions while preserving every value that can still be observed under
-    /// the class assumption.
+    /// the class assumption. The care set is the same for every state bit
+    /// and every cycle of a plan, so the computed table answers the DAG the
+    /// bits share — with each other, with earlier cycles and with the
+    /// sampled outputs — without recomputing it.
     ///
     /// # Panics
     /// Panics if `care` is the constant false function (an empty care set has
@@ -761,16 +859,16 @@ impl BddManager {
             !care.is_false(),
             "generalized cofactor with an empty care set"
         );
-        let mut memo = FxMap::default();
-        self.constrain_rec(f, care, &mut memo)
+        self.constrain_rec(f, care)
     }
 
     /// The generalized cofactor commutes with negation of `f` (it rebuilds
     /// `f`'s leaves under `care`'s guidance), so the recursion strips `f`'s
-    /// complement attribute and memoizes on `(regular f, care)`. The care
-    /// argument does **not** commute and keeps its attribute in the key;
-    /// `f == ¬care` short-circuits to false the way `f == care` does to true.
-    fn constrain_rec(&mut self, f: Bdd, care: Bdd, memo: &mut FxMap<(Bdd, Bdd), Bdd>) -> Bdd {
+    /// complement attribute and keys the computed table on
+    /// `(regular f, care)`. The care argument does **not** commute and keeps
+    /// its attribute in the key; `f == ¬care` short-circuits to false the
+    /// way `f == care` does to true.
+    fn constrain_rec(&mut self, f: Bdd, care: Bdd) -> Bdd {
         if care.is_true() || f.is_const() {
             return f;
         }
@@ -782,24 +880,27 @@ impl BddManager {
         }
         let compl = f.is_compl();
         let f = f.regular();
-        if let Some(&r) = memo.get(&(f, care)) {
+        let key = Key::tagged(Op::Constrain, 0, f, care);
+        if let Some(&r) = self.computed.get(&key) {
+            self.constrain_hits += 1;
             return if compl { r.negate() } else { r };
         }
+        self.constrain_misses += 1;
         let vf = self.node(f).var;
         let vc = self.node(care).var;
         let top = vf.min(vc);
         let (f0, f1) = self.split(f, top);
         let (c0, c1) = self.split(care, top);
         let result = if c0.is_false() {
-            self.constrain_rec(f1, c1, memo)
+            self.constrain_rec(f1, c1)
         } else if c1.is_false() {
-            self.constrain_rec(f0, c0, memo)
+            self.constrain_rec(f0, c0)
         } else {
-            let lo = self.constrain_rec(f0, c0, memo);
-            let hi = self.constrain_rec(f1, c1, memo);
+            let lo = self.constrain_rec(f0, c0);
+            let hi = self.constrain_rec(f1, c1);
             self.mk(top, lo, hi)
         };
-        memo.insert((f, care), result);
+        self.computed.insert(key, result);
         if compl {
             result.negate()
         } else {
@@ -807,18 +908,33 @@ impl BddManager {
         }
     }
 
+    /// The id of the var set `sorted` (as returned by [`sorted_indices`]),
+    /// interning it on first sight. The quantifier keys name a set by this
+    /// id rather than by a cube BDD, so no node is allocated for it.
+    fn var_set_id(&mut self, sorted: &[u32]) -> u32 {
+        if let Some(&id) = self.var_sets.get(sorted) {
+            return id;
+        }
+        let id = self.var_sets.len() as u32;
+        self.var_sets.insert(sorted.into(), id);
+        id
+    }
+
     /// Existential quantification (the *smoothing* operator `S_x f` of
     /// Definition 3.3.1): `∃ vars . f`.
     pub fn exists(&mut self, f: Bdd, vars: &[Var]) -> Bdd {
         let sorted = sorted_indices(vars);
-        let mut memo = FxMap::default();
-        self.exists_rec(f, &sorted, &mut memo)
+        let set = self.var_set_id(&sorted);
+        self.exists_rec(f, &sorted, set)
     }
 
     /// Existential quantification does **not** commute with negation
-    /// (`∃x.¬f ≠ ¬∃x.f`), so the memo is keyed on the full attributed handle
-    /// and the recursion descends through attribute-adjusted cofactors.
-    fn exists_rec(&mut self, f: Bdd, vars: &[u32], memo: &mut FxMap<Bdd, Bdd>) -> Bdd {
+    /// (`∃x.¬f ≠ ¬∃x.f`), so the key keeps the full attributed handle and
+    /// the recursion descends through attribute-adjusted cofactors. `vars`
+    /// is a suffix of the set `set` that holds every member at or below
+    /// `f`'s root, and only those members act on `f`: the result is fixed by
+    /// `f` and the set, which is why the id of the whole set keys the entry.
+    fn exists_rec(&mut self, f: Bdd, vars: &[u32], set: u32) -> Bdd {
         if f.is_const() || vars.is_empty() {
             return f;
         }
@@ -829,19 +945,20 @@ impl BddManager {
         if vars.is_empty() {
             return f;
         }
-        if let Some(&r) = memo.get(&f) {
+        let key = Key::tagged(Op::Exists, set, f, Bdd::TRUE);
+        if let Some(&r) = self.computed.get(&key) {
             return r;
         }
         let result = if var == vars[0] {
-            let lo = self.exists_rec(f0, &vars[1..], memo);
-            let hi = self.exists_rec(f1, &vars[1..], memo);
+            let lo = self.exists_rec(f0, &vars[1..], set);
+            let hi = self.exists_rec(f1, &vars[1..], set);
             self.or(lo, hi)
         } else {
-            let lo = self.exists_rec(f0, vars, memo);
-            let hi = self.exists_rec(f1, vars, memo);
+            let lo = self.exists_rec(f0, vars, set);
+            let hi = self.exists_rec(f1, vars, set);
             self.mk(var, lo, hi)
         };
-        memo.insert(f, result);
+        self.computed.insert(key, result);
         result
     }
 
@@ -857,17 +974,13 @@ impl BddManager {
     /// image computation of Section 3.3 (Burch et al. 1990).
     pub fn and_exists(&mut self, f: Bdd, g: Bdd, vars: &[Var]) -> Bdd {
         let sorted = sorted_indices(vars);
-        let mut memo = FxMap::default();
-        self.and_exists_rec(f, g, &sorted, &mut memo)
+        let set = self.var_set_id(&sorted);
+        self.and_exists_rec(f, g, &sorted, set)
     }
 
-    fn and_exists_rec(
-        &mut self,
-        f: Bdd,
-        g: Bdd,
-        vars: &[u32],
-        memo: &mut FxMap<(Bdd, Bdd), Bdd>,
-    ) -> Bdd {
+    /// The recursion of [`and_exists`](Self::and_exists); `vars` and `set`
+    /// play the roles they do in [`exists_rec`](Self::exists_rec).
+    fn and_exists_rec(&mut self, f: Bdd, g: Bdd, vars: &[u32], set: u32) -> Bdd {
         if f.is_false() || g.is_false() {
             return Bdd::FALSE;
         }
@@ -884,8 +997,9 @@ impl BddManager {
         // Quantification does not commute with negation, so — unlike
         // restrict/constrain — the key keeps both attributed handles, ordered
         // for the conjunction's symmetry only.
-        let key = if f <= g { (f, g) } else { (g, f) };
-        if let Some(&r) = memo.get(&key) {
+        let (a, b) = if f <= g { (f, g) } else { (g, f) };
+        let key = Key::tagged(Op::AndExists, set, a, b);
+        if let Some(&r) = self.computed.get(&key) {
             return r;
         }
         let vf = if f.is_const() {
@@ -904,19 +1018,19 @@ impl BddManager {
         let (f0, f1) = self.split(f, top);
         let (g0, g1) = self.split(g, top);
         let result = if !vars_below.is_empty() && vars_below[0] == top {
-            let lo = self.and_exists_rec(f0, g0, &vars_below[1..], memo);
+            let lo = self.and_exists_rec(f0, g0, &vars_below[1..], set);
             if lo.is_true() {
                 Bdd::TRUE
             } else {
-                let hi = self.and_exists_rec(f1, g1, &vars_below[1..], memo);
+                let hi = self.and_exists_rec(f1, g1, &vars_below[1..], set);
                 self.or(lo, hi)
             }
         } else {
-            let lo = self.and_exists_rec(f0, g0, vars_below, memo);
-            let hi = self.and_exists_rec(f1, g1, vars_below, memo);
+            let lo = self.and_exists_rec(f0, g0, vars_below, set);
+            let hi = self.and_exists_rec(f1, g1, vars_below, set);
             self.mk(top, lo, hi)
         };
-        memo.insert(key, result);
+        self.computed.insert(key, result);
         result
     }
 
@@ -941,6 +1055,12 @@ impl BddManager {
     /// substitution falls back to one functional composition per mapped
     /// variable, which is slower but correct for any map onto variables
     /// outside `f`'s support.
+    ///
+    /// Unlike the other operators, the in-place pass keeps a per-call memo
+    /// instead of using the computed table: it is partial (it returns
+    /// `None` when the rename would break the variable order, and the
+    /// nodes built by then are garbage), its key would have to name the
+    /// whole rename map, and no benchmarked path calls it.
     pub fn replace(&mut self, f: Bdd, map: &HashMap<Var, Var>) -> Bdd {
         let raw: FxMap<u32, u32> = map.iter().map(|(k, v)| (k.0, v.0)).collect();
         let mut memo = FxMap::default();
@@ -1055,9 +1175,11 @@ impl BddManager {
     /// Mark-and-sweep collection: marks everything reachable from the
     /// registered roots and from `extra_roots`, reclaims every other node
     /// into a free list for reuse, drops the reclaimed nodes from the unique
-    /// table, drops the operation-cache entries that name reclaimed nodes
-    /// (entries over surviving nodes stay hot across the collection), and
-    /// shrinks both tables when they are mostly empty afterwards.
+    /// table, and filters the one computed table that serves every operator
+    /// (`ite`, `constrain`, `restrict`, `exists`, `and_exists`): an entry is
+    /// dropped when any of its operand handles or its result died, and
+    /// every other entry stays hot across the collection. Both tables
+    /// shrink when they are mostly empty afterwards.
     ///
     /// Handles not covered by the roots are invalidated — see the type-level
     /// documentation.
@@ -1110,23 +1232,25 @@ impl BddManager {
             self.free_count += 1;
             collected += 1;
         }
-        // Drop memo entries that name reclaimed nodes; entries whose triple
-        // and result all survived are still verbatim-valid, and keeping them
-        // spares the next cycle from re-expanding (and re-allocating) the
-        // shared subproblems it has in common with this one.
+        // Drop computed-table entries that name reclaimed nodes; entries
+        // whose operands and result all survived are still verbatim-valid,
+        // and keeping them spares the next cycle from re-expanding (and
+        // re-allocating) the shared subproblems it has in common with this
+        // one. The table stays lossless: an entry over live nodes is never
+        // evicted, so a recomputation never re-allocates a node it names.
         let dead = |b: Bdd| !b.is_const() && !marked[b.index()];
-        self.ite_cache
-            .retain(|&(f, g, h), r| !dead(f) && !dead(g) && !dead(h) && !dead(*r));
+        self.computed
+            .retain(|key, r| !dead(*r) && !key.handles().iter().any(|&w| dead(Bdd(w))));
         // Resize: release table capacity when the live set is a small
-        // fraction of it, and keep the operation cache proportionate.
+        // fraction of it, and keep the computed table proportionate.
         let live = self.live_nodes();
         for table in &mut self.subtables {
             if table.capacity() > table.len().saturating_mul(4) {
                 table.shrink_to(table.len() * 2);
             }
         }
-        if self.ite_cache.capacity() > live.saturating_mul(4) {
-            self.ite_cache.shrink_to(live * 2);
+        if self.computed.capacity() > live.saturating_mul(4) {
+            self.computed.shrink_to(live * 2);
         }
         // Re-derive the auto-collection trigger from the surviving live set:
         // a mostly-live table waits until it doubles (no thrashing), and the
@@ -1142,17 +1266,21 @@ impl BddManager {
         GcStats { collected, live }
     }
 
-    /// Pushes the per-manager deltas of the batched hot counters (ITE cache
-    /// traffic, store growth, peak live) to the process-global metrics
-    /// registry. Runs after every collection and on drop, so short-lived
-    /// per-plan managers still report.
+    /// Pushes the per-manager deltas of the batched hot counters (ITE and
+    /// constrain computed-table traffic, store growth, peak live) to the
+    /// process-global metrics registry. Runs after every collection and on
+    /// drop, so short-lived per-plan managers still report.
     fn flush_metrics(&mut self) {
         M_ITE_HIT.add((self.ite_hits - self.flushed_ite_hits) as u64);
         M_ITE_MISS.add((self.ite_misses - self.flushed_ite_misses) as u64);
+        M_CONSTRAIN_HIT.add((self.constrain_hits - self.flushed_constrain_hits) as u64);
+        M_CONSTRAIN_MISS.add((self.constrain_misses - self.flushed_constrain_misses) as u64);
         M_UNIQUE_GROW.add((self.unique_grows - self.flushed_unique_grows) as u64);
         M_PEAK_LIVE.set_max(self.peak_live as u64);
         self.flushed_ite_hits = self.ite_hits;
         self.flushed_ite_misses = self.ite_misses;
+        self.flushed_constrain_hits = self.constrain_hits;
+        self.flushed_constrain_misses = self.constrain_misses;
         self.flushed_unique_grows = self.unique_grows;
     }
 
@@ -1356,9 +1484,11 @@ impl BddManager {
             peak_live: self.peak_live,
             gc_runs: self.gc_runs,
             vars: self.num_vars as usize,
-            ite_cache_entries: self.ite_cache.len(),
+            computed_entries: self.computed.len(),
             ite_hits: self.ite_hits,
             ite_misses: self.ite_misses,
+            constrain_hits: self.constrain_hits,
+            constrain_misses: self.constrain_misses,
             unique_grows: self.unique_grows,
         }
     }
@@ -1490,6 +1620,11 @@ mod tests {
         let anded = m.and(f, g);
         let indirect = m.exists(anded, &[v[0], v[2]]);
         assert_eq!(direct, indirect);
+        // The same operands under another var set are another entry.
+        let direct_one = m.and_exists(f, g, &[v[0]]);
+        let indirect_one = m.exists(anded, &[v[0]]);
+        assert_eq!(direct_one, indirect_one);
+        assert_ne!(direct_one, direct);
     }
 
     #[test]
@@ -1634,6 +1769,68 @@ mod tests {
         m.set_gc_threshold(2);
         let stats = m.maybe_gc(&[]).expect("above threshold");
         assert_eq!(stats.live, 2);
+    }
+
+    #[test]
+    fn repeated_constrain_is_answered_from_the_computed_table() {
+        let (mut m, v) = setup(6);
+        let lits: Vec<Bdd> = v.iter().map(|&x| m.var(x)).collect();
+        let x = m.xor(lits[0], lits[3]);
+        let y = m.and(lits[1], lits[4]);
+        let f = m.or(x, y);
+        let care = m.or(lits[0], lits[2]);
+        let first = m.constrain(f, care);
+        let before = m.stats();
+        assert!(before.constrain_misses > 0);
+        // The same call and its complement: constrain commutes with
+        // negation, so both are one entry keyed on the regular handle.
+        let again = m.constrain(f, care);
+        let nf = m.not(f);
+        let negated = m.constrain(nf, care);
+        let after = m.stats();
+        assert_eq!(again, first);
+        assert_eq!(negated, m.not(first));
+        assert_eq!(after.allocated, before.allocated, "no node allocated");
+        assert_eq!(after.constrain_misses, before.constrain_misses);
+        assert_eq!(after.constrain_hits, before.constrain_hits + 2);
+    }
+
+    #[test]
+    fn gc_drops_entries_that_name_a_dead_operand_in_any_position() {
+        let (mut m, v) = setup(6);
+        let lits: Vec<Bdd> = v.iter().map(|&x| m.var(x)).collect();
+        let care = m.and(lits[0], lits[1]);
+        let g = m.or(lits[3], lits[5]);
+        let t = m.xor(lits[0], lits[2]);
+        let f = m.and(t, lits[4]);
+        let results = [
+            m.constrain(f, care),
+            m.constrain(g, f),
+            m.restrict(f, v[0], true),
+            m.exists(f, &[v[2]]),
+            m.and_exists(f, g, &[v[2]]),
+        ];
+        let set = m.var_set_id(&[v[2].0]);
+        let (a, b) = if f <= g { (f, g) } else { (g, f) };
+        let keys = [
+            Key::tagged(Op::Constrain, 0, f.regular(), care),
+            Key::tagged(Op::Constrain, 0, g.regular(), f),
+            Key::tagged(Op::Restrict, v[0].0 << 1 | 1, f.regular(), Bdd::TRUE),
+            Key::tagged(Op::Exists, set, f, Bdd::TRUE),
+            Key::tagged(Op::AndExists, set, a, b),
+        ];
+        for key in &keys {
+            assert!(m.computed.contains_key(key), "{key:?} was cached");
+        }
+        // Everything but f survives; f's slot dies with every entry naming it.
+        for h in results.into_iter().chain([care, g]) {
+            m.add_root(h);
+        }
+        m.gc();
+        assert!(m.nodes[f.index()].is_free());
+        for key in &keys {
+            assert!(!m.computed.contains_key(key), "{key:?} names dead f");
+        }
     }
 
     #[test]

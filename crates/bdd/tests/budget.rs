@@ -6,7 +6,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use pv_bdd::{Bdd, BddManager, Budget, BudgetExceeded};
+use pv_bdd::{Bdd, BddManager, Budget, BudgetExceeded, Var};
 
 /// Builds an n-bit ripple-carry "greater than" chain — enough ITE traffic
 /// to drive the amortized miss-path check — returning the final function.
@@ -120,4 +120,34 @@ fn safe_point_checks_fire_without_ite_traffic() {
     m.set_budget(budget.child());
     budget.cancel();
     assert_eq!(expect_abort(|| m.maybe_gc(&[])), BudgetExceeded::Cancelled);
+}
+
+#[test]
+fn an_abort_inside_exists_leaves_a_canonical_computed_table() {
+    // x > y over 12-bit words; ∃x. x > y holds unless y is all ones.
+    let bits = 12;
+    let mut m = BddManager::new();
+    let f = build_chain(&mut m, bits);
+    m.add_root(f);
+    let xs: Vec<Var> = (0..bits).map(Var::from_index).collect();
+    let ys: Vec<Var> = (bits..2 * bits).map(Var::from_index).collect();
+
+    // The quantifier reaches the amortized ITE-miss check through `or`
+    // (this one needs about 4,000 misses), so the abort unwinds out of the
+    // middle of the recursion and leaves the table half-filled.
+    let budget = Budget::unlimited();
+    budget.cancel();
+    m.set_budget(budget);
+    assert_eq!(expect_abort(|| m.exists(f, &xs)), BudgetExceeded::Cancelled);
+    m.clear_budget();
+    m.gc();
+
+    let quantified = m.exists(f, &xs);
+    let y_lits: Vec<Bdd> = ys.iter().map(|&y| m.var(y)).collect();
+    let all_ones = m.and_many(&y_lits);
+    assert_eq!(quantified, m.not(all_ones));
+    // The completed call is cached: asking again costs no ITE miss.
+    let misses = m.stats().ite_misses;
+    assert_eq!(m.exists(f, &xs), quantified);
+    assert_eq!(m.stats().ite_misses, misses);
 }

@@ -122,24 +122,51 @@ proptest! {
         }
     }
 
-    /// Quantification, cofactoring and the other derived operations give
-    /// identical (canonical) results before and after an interposed
-    /// collection — the operation-cache invalidation cannot change results.
+    /// Quantification, cofactoring, the generalized cofactor and the
+    /// relational product give identical (canonical) results before and
+    /// after an interposed collection. The second round runs against the
+    /// table the first round warmed, minus the entries the collection
+    /// filtered out (the unrooted garbage below dies with them), so the
+    /// filter cannot change a result.
     #[test]
-    fn operations_agree_across_gc((fe, idx) in (arb_expr(NVARS, 4), 0..NVARS)) {
+    fn operations_agree_across_gc(
+        (fe, ge, idx) in (arb_expr(NVARS, 4), arb_expr(NVARS, 3), 0..NVARS)
+    ) {
         let mut m = BddManager::new();
         let vars = m.new_vars(NVARS);
         let f = build(&mut m, &vars, &fe);
+        let g = build(&mut m, &vars, &ge);
+        // An empty care set has no generalized cofactor; fall back to ¬g.
+        let care = if g.is_false() { m.not(g) } else { g };
         let v = vars[idx];
         let before_exists = m.exists(f, &[v]);
         let before_restrict = m.restrict(f, v, true);
-        m.add_root(f);
-        m.add_root(before_exists);
-        m.add_root(before_restrict);
+        let before_constrain = m.constrain(f, care);
+        let before_and_exists = m.and_exists(f, g, &[v]);
+        let garbage = m.xor(f, g);
+        let _ = m.constrain(garbage, care);
+        for h in [f, g, care, before_exists, before_restrict, before_constrain, before_and_exists] {
+            m.add_root(h);
+        }
         m.gc();
         let after_exists = m.exists(f, &[v]);
         let after_restrict = m.restrict(f, v, true);
+        let after_constrain = m.constrain(f, care);
+        let after_and_exists = m.and_exists(f, g, &[v]);
         prop_assert_eq!(before_exists, after_exists);
         prop_assert_eq!(before_restrict, after_restrict);
+        prop_assert_eq!(before_constrain, after_constrain);
+        prop_assert_eq!(before_and_exists, after_and_exists);
+        // The warm answers are also the right ones: ∃v.(f ∧ g) built from
+        // cofactors, and agreement with f wherever the care set holds.
+        let conj = m.and(f, g);
+        let (c0, c1) = (m.restrict(conj, v, false), m.restrict(conj, v, true));
+        prop_assert_eq!(after_and_exists, m.or(c0, c1));
+        for a in 0u32..1 << NVARS {
+            let at = |x: pv_bdd::Var| a >> x.index() & 1 == 1;
+            if m.eval(care, at) {
+                prop_assert_eq!(m.eval(after_constrain, at), m.eval(f, at));
+            }
+        }
     }
 }

@@ -899,6 +899,14 @@ impl Verifier {
         let metrics = BTreeMap::from([
             ("bdd.ite.cache_hit".to_owned(), stats.ite_hits as u64),
             ("bdd.ite.cache_miss".to_owned(), stats.ite_misses as u64),
+            (
+                "bdd.constrain.cache_hit".to_owned(),
+                stats.constrain_hits as u64,
+            ),
+            (
+                "bdd.constrain.cache_miss".to_owned(),
+                stats.constrain_misses as u64,
+            ),
             ("bdd.unique.grow".to_owned(), stats.unique_grows as u64),
         ]);
         Ok(PlanReport {

@@ -55,10 +55,16 @@ fn arb_recipe() -> impl Strategy<Value = ReplayRecipe> {
         })
 }
 
-const METRIC_NAMES: &[&str] = &["bdd.ite.cache_hit", "bdd.ite.cache_miss", "bdd.unique.grow"];
+const METRIC_NAMES: &[&str] = &[
+    "bdd.ite.cache_hit",
+    "bdd.ite.cache_miss",
+    "bdd.constrain.cache_hit",
+    "bdd.constrain.cache_miss",
+    "bdd.unique.grow",
+];
 
 fn arb_metrics() -> impl Strategy<Value = BTreeMap<String, u64>> {
-    proptest::collection::vec(((0..METRIC_NAMES.len()), any::<u64>()), 0..4).prop_map(|entries| {
+    proptest::collection::vec(((0..METRIC_NAMES.len()), any::<u64>()), 0..6).prop_map(|entries| {
         entries
             .into_iter()
             .map(|(m, v)| (METRIC_NAMES[m].to_owned(), v))
@@ -256,4 +262,32 @@ fn unknown_labels_are_rejected() {
         }
     }
     assert!(flow_report_from_json(&report).is_err());
+}
+
+/// A real plan report carries the per-operator computed-table counters,
+/// and they survive the round trip like every other metric.
+#[test]
+fn a_checked_plan_reports_constrain_traffic_and_round_trips() {
+    use pipeverify_core::{MachineSpec, Verifier};
+    use pv_proc::vsm::{self, VsmConfig};
+
+    let pipelined = vsm::pipelined(VsmConfig::reduced(2)).expect("build pipelined");
+    let unpipelined = vsm::unpipelined(VsmConfig::reduced(2)).expect("build unpipelined");
+    let report = Verifier::new(MachineSpec::vsm_reduced(2))
+        .check_plan(
+            &pipelined,
+            &unpipelined,
+            &SimulationPlan::with_control_at(2, 0),
+        )
+        .expect("check");
+    let misses = report.metrics["bdd.constrain.cache_miss"];
+    let hits = report.metrics["bdd.constrain.cache_hit"];
+    assert!(misses > 0, "the class constraint cofactors every state bit");
+    assert!(hits > 0, "bits and cycles share constrain subproblems");
+
+    let json = plan_report_to_json(&report);
+    let parsed = Json::parse(&json.render()).expect("rendered JSON parses");
+    let decoded = plan_report_from_json(&parsed).expect("well-formed report");
+    assert_eq!(decoded.metrics, report.metrics);
+    assert_eq!(plan_report_to_json(&decoded), json);
 }

@@ -225,6 +225,13 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// Drains the current thread's buffer into the process sink. The worker
 /// pool calls this as each worker retires; call it before [`take_events`]
 /// on any other thread that traced.
+///
+/// Only events recorded **before** the call are delivered: close every
+/// span the thread opened first. An event recorded afterwards (such as the
+/// exit of a guard still in scope) waits in the buffer until the thread's
+/// thread-local destructor drains it, and joining the thread — a
+/// `std::thread::scope` join included — does not wait for that
+/// destructor.
 pub fn flush_thread() {
     if !COMPILED {
         return;
@@ -234,8 +241,14 @@ pub fn flush_thread() {
 
 /// Drains every flushed event (plus the calling thread's buffer) and
 /// returns them merge-sorted by `(tid, seq)` — the canonical export order.
-/// Threads still running keep their unflushed tails; in this workspace
-/// every traced fan-out joins (scoped threads) before its caller exports.
+///
+/// Another thread's events are included only if that thread called
+/// [`flush_thread`] after recording them. Joining a thread is not enough:
+/// its buffer drains in a thread-local destructor that a join may not wait
+/// for, so a thread that exits with an unflushed tail (for example a span
+/// still open at its last `flush_thread`) can deliver it after this call.
+/// In this workspace every traced fan-out closes its spans, flushes and
+/// joins before its caller exports.
 pub fn take_events() -> Vec<TraceEvent> {
     if !COMPILED {
         return Vec::new();
@@ -329,7 +342,11 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..3 {
                 s.spawn(|| {
-                    let _g = span("test.trace.worker");
+                    // Close the span before flushing, as the worker pool
+                    // does: an event recorded after `flush_thread` would
+                    // reach the sink only through the thread-local
+                    // destructor, which the scope does not wait for.
+                    drop(span("test.trace.worker"));
                     flush_thread();
                 });
             }
