@@ -1,80 +1,55 @@
-//! Perf-smoke gate for the BDD engine: three small fixed workloads whose
-//! wall times and node counts are written to `BENCH_bdd.json` and compared
-//! against the checked-in baselines in `crates/bench/baselines/`.
+//! Perf-smoke gate for the engines: a table of small fixed cases, each
+//! writing work counters, records and same-run checks into one
+//! [`Sheet`] (see `pv_bench::gate`). The sheet is written to
+//! `BENCH_bdd.json` in the current directory.
 //!
-//! The workloads are the three hot spots the engine overhaul targeted:
+//! * **Counters** (allocated nodes, peak live, ITE and `constrain` calls and
+//!   misses, case splits) are deterministic, so they must equal the committed
+//!   `crates/bench/baselines/BENCH_bdd.json` exactly, on any machine.
+//! * **Records** (walls, hit-rates, the runner's core count) are written but
+//!   never compared with the baseline.
+//! * **Same-run checks** compare a case with a twin measured in the same
+//!   run, or with an absolute hard limit.
 //!
-//! 1. **12-bit counter reachability** (10 samples) — partitioned transition
-//!    relation with early quantification plus between-iteration garbage
-//!    collection. Before the overhaul this did not finish 10 samples within
-//!    500 s and grew past 10 GB RSS.
-//! 2. **16-bit interleaved adder** (median of 100 builds) — the interleaved
-//!    variable-order default. The sequential ordering took 238 ms at 16 bits.
-//! 3. **Quickstart VSM verification** — the Section 6.2 experiment, with
-//!    per-cycle collection bounding live nodes.
-//! 4. **Parallel Alpha0 control-transfer sweep** (`alpha0_sweep_par`) — a
-//!    three-position condensed-Alpha0 sweep run twice: sequentially
-//!    (`threads = 1`) and on a four-worker pool, one BDD manager per plan.
-//!    The two reports must be identical (the deterministic-merge guarantee),
-//!    and on a runner with at least two cores the parallel wall clock must
-//!    beat the sequential twin; on a single-core runner that gate is skipped
-//!    with a notice (there is nothing to win without a second core). The
-//!    sweep's allocated and peak-live node counts are additionally gated at
-//!    ≥ 1.4× below the committed pre-complement-edge record (kept in the
-//!    JSON as `*_pre_compl` fields): the attributed-edge engine plus the
-//!    FORCE static instruction-bit order must pay for themselves here, while
-//!    the reach12/vsm/flush3 walls must stay within 1.1× of their own
-//!    pre-complement records. The runner's core count and the effective
-//!    `PV_THREADS` resolution are recorded as context fields.
-//! 5. **Flushing of the stallable VSM** (`flush3`) — the cross-flow bridge:
-//!    the term-level pipeline description is derived from the stallable VSM
-//!    netlist (three in-flight latches → flush bound 3) and the Burch–Dill
-//!    commuting diagram is decided in EUF. The sequential and 4-worker
-//!    reports must be field-identical (the same deterministic-merge
-//!    guarantee as case 4, applied to EUF case-split blocks).
-//! 6. **Parallel EUF case split** (`flush_par`) — a deep (depth-12) term
-//!    pipeline whose case split is heavy enough to time: run sequentially
-//!    and on a four-worker pool. Report identity is gated always; on a
-//!    runner with at least two cores the parallel wall clock must beat the
-//!    sequential twin (skip-with-notice on one core, as in case 4).
-//! 7. **Traced-overhead twin** (`alpha0_sweep_traced`) — the case-4
-//!    sequential sweep re-run with span tracing live. Tracing must never
-//!    perturb verification (the traced report must match the untraced one
-//!    field for field), the emitted spans must bracket correctly, and the
-//!    traced wall clock may exceed the untraced twin by at most 10% (plus a
-//!    small absolute grace for timer noise) — the tentpole's overhead
-//!    budget, enforced.
-//! 8. **Warm artifact-cache replay** (`cache_warm`) — the family-matrix
-//!    smoke sweep (both flows per cell) run twice through the verification
-//!    service's job runner against one scratch cache: cold (every flow run
-//!    hits the engines and stores its artifacts), then warm (every flow run
-//!    is a file read). The gate requires the warm sweep to finish in at most
-//!    one fifth of the cold wall clock, with zero cache misses and
-//!    byte-identical reports.
-//! 9. **Budget abort** (`budget_abort`) — the 12-bit reachability workload
-//!    under a 20k-node budget. The abort must trip within the amortized
-//!    check interval past the limit and within a second of wall clock; the
-//!    governance-off cost is gated implicitly, since every other case runs
-//!    unbudgeted against unchanged baselines.
+//! The cases:
 //!
-//! Every BDD-backed case also records its peak-live node count and its ITE
-//! cache hit-rate (`*_peak_live`, `*_ite_hit_rate`), and the cache replay
-//! records its warm hit-rate — so a wall-time regression in the JSON
-//! artifact comes with a cause attached (nodes blew up / the memo table
-//! stopped hitting / the cache stopped answering).
+//! 1. `reach12` — 12-bit counter reachability, 10 samples: partitioned
+//!    transition relation, early quantification, between-iteration GC. Hard
+//!    limit 60 s.
+//! 2. `adder16` — 16-bit interleaved adder, median of 100 builds. Hard limit
+//!    5 ms.
+//! 3. `vsm` — the quickstart VSM verification (Section 6.2).
+//! 4. `alpha0_sweep` — a three-position condensed-Alpha0 control-transfer
+//!    sweep, run sequentially, on a four-worker pool and traced. The three
+//!    reports must be identical, the traced spans must nest, tracing may
+//!    cost at most 10% (plus 0.5 s of timer grace), and on a runner with at
+//!    least two cores the pool must beat the sequential twin (skipped with a
+//!    notice on one core).
+//! 5. `flush3` — Burch–Dill flushing of the stallable VSM (flush bound 3);
+//!    sequential and four-worker reports must agree.
+//! 6. `flush_par` — the EUF case split of a depth-12 term pipeline,
+//!    sequential vs four workers: reports must agree, and on two or more
+//!    cores the pool must win.
+//! 7. `cache_warm` — the family-matrix smoke sweep through the service's job
+//!    runner, cold then warm against one scratch cache: the warm sweep must
+//!    miss nothing, reproduce the cold reports and take at most 0.2× the
+//!    cold wall (or under 5 ms).
+//! 8. `budget_abort` — reach12 under a 20k-node budget: the abort must fire
+//!    within 2048 nodes of the limit and within 1 s.
 //!
-//! Exit status is non-zero when a hard limit (the acceptance criteria) is
-//! exceeded or any measurement regresses by more than an order of magnitude
-//! against the baseline file, making this runnable as a CI gate.
+//! Exit status is non-zero when any check fails or a counter differs from
+//! the baseline, so this runs as a CI gate.
 
 use std::time::{Duration, Instant};
 
 use pipeverify_core::cache::ArtifactCache;
-use pipeverify_core::{MachineSpec, SimulationPlan, Verifier};
+use pipeverify_core::json::Json;
+use pipeverify_core::{MachineSpec, SimulationPlan, VerificationReport, Verifier};
 use pv_bdd::{BddManager, BddVec, Budget, BudgetExceeded};
 use pv_bench::counter_system;
+use pv_bench::gate::Sheet;
 use pv_bench::matrix::{cell_bugs, smoke_configs};
-use pv_flush::{FlushVerifier, PipelineDesc};
+use pv_flush::{FlushReport, FlushVerifier, PipelineDesc};
 use pv_isa::alpha0::Alpha0Config;
 use pv_proc::alpha0::{self, PipelineConfig};
 use pv_proc::family::FamilyBug;
@@ -87,88 +62,87 @@ use pv_server::sched;
 const REACH12_WALL_LIMIT_S: f64 = 60.0;
 /// Hard limit on the median 16-bit interleaved adder build (s).
 const ADDER16_MEDIAN_LIMIT_S: f64 = 0.005;
-/// Relative regression factor tolerated against the checked-in baseline.
-const REGRESSION_FACTOR: f64 = 10.0;
-
-/// Seed-engine figures (PR 1 profiling, before the GC / interleaving /
-/// partitioned-image overhaul), recorded alongside the fresh measurements so
-/// the JSON artifact documents the before/after.
-const SEED_REACH12_WALL_S: f64 = 500.0; // lower bound: did not finish
-const SEED_ADDER16_SEQUENTIAL_S: f64 = 0.238;
-const SEED_VSM_ALLOCATED_NODES: f64 = 900_000.0;
-
-/// Pre-complement-edge record of the condensed-Alpha0 sweep, measured at the
-/// commit immediately before attributed edges and the FORCE static order
-/// landed (same machine, same plans, deterministic counts). Kept in the JSON
-/// as `*_pre_compl` fields so the artifact documents the before/after; the
-/// tentpole gate requires the current engine to beat **both** counts by at
-/// least [`PRE_COMPL_REDUCTION_FACTOR`].
-const PRE_COMPL_ALPHA0_ALLOCATED: f64 = 3_329_787.0;
-const PRE_COMPL_ALPHA0_PEAK_LIVE: f64 = 1_327_284.0;
-/// Required reduction of the Alpha0 sweep's allocated and peak-live node
-/// counts over the pre-complement record (acceptance criterion: ≥ 1.4×).
-const PRE_COMPL_REDUCTION_FACTOR: f64 = 1.4;
-/// Pre-complement walls of the cases the edge retrofit must not slow down:
-/// complemented edges touch every ITE, so the non-sweep workloads gate at
-/// ≤ 1.1× their pre-complement record (plus an absolute grace — see
-/// [`PRE_COMPL_WALL_GRACE_S`]).
-const PRE_COMPL_REACH12_WALL_S: f64 = 0.401;
-const PRE_COMPL_VSM_WALL_S: f64 = 0.327;
-const PRE_COMPL_FLUSH3_WALL_S: f64 = 0.0278;
-const PRE_COMPL_WALL_FACTOR: f64 = 1.1;
-/// Absolute grace on the pre-complement wall gates: 10% of a sub-second wall
-/// sits inside scheduler noise on a busy runner, so each gate takes the max
-/// of the relative ceiling and `record + grace` (the same shape as the
-/// traced-overhead gate).
-const PRE_COMPL_WALL_GRACE_S: f64 = 0.05;
-/// Worker count of the parallel Alpha0 sweep twin (the acceptance criterion
-/// is phrased for four workers; the pool clamps to the plan count anyway).
-const SWEEP_THREADS: usize = 4;
-/// Slots of the condensed-Alpha0 sweep plans: a 3-position control-transfer
-/// sweep over 4-slot plans keeps the per-plan costs balanced (~0.8–1.2 s
-/// release), so the pool has real parallelism to exploit while the whole case
-/// stays a few seconds. The k = 5 paper sweep (whose slot-4 plan dominates at
-/// ~1 min) lives in the `alpha0_verify` example, not in the smoke gate.
+/// Worker count of every parallel twin (the pool clamps to the batch size).
+const TWIN_THREADS: usize = 4;
+/// The condensed-Alpha0 sweep: a 3-position control-transfer sweep over
+/// 4-slot plans keeps the per-plan costs balanced, so the pool has real
+/// parallelism to exploit. The k = 5 paper sweep, whose slot-4 plan
+/// dominates, lives in the `alpha0_verify` example.
 const SWEEP_SLOTS: usize = 4;
 const SWEEP_POSITIONS: usize = 3;
-/// Repetitions of the (fast) stallable-VSM flushing check, so the committed
-/// `flush3` wall figure sums to something timer noise cannot 10×.
+/// Ceiling on the traced sweep's wall as a factor of its untraced twin, and
+/// an absolute grace for timer noise on short runs.
+const TRACE_OVERHEAD_FACTOR: f64 = 1.10;
+const TRACE_OVERHEAD_GRACE_S: f64 = 0.5;
+/// Repetitions of the (fast) stallable-VSM flushing check, so its wall
+/// record sums to something above timer resolution.
 const FLUSH3_REPEATS: usize = 20;
-/// Depth of the term pipeline used for the parallel-EUF wall-clock A/B: deep
-/// enough that its case split takes a few hundred milliseconds sequentially
-/// (the cube walls are balanced — no block dominates — so a ≥2-core pool has
-/// real parallelism to win with).
+/// Depth of the term pipeline whose case split is the parallel-EUF twin:
+/// a few hundred milliseconds sequentially, in balanced blocks.
 const FLUSH_PAR_DEPTH: usize = 12;
-/// Ceiling on the warm artifact-cache sweep's wall clock, as a fraction of
-/// its cold twin (acceptance criterion: warm ≤ 0.2× cold).
+/// Ceiling on the warm artifact-cache sweep as a fraction of its cold twin,
+/// and the absolute wall below which the warm sweep passes outright (a
+/// few-millisecond warm sweep *is* the file-read path).
 const CACHE_WARM_FACTOR: f64 = 0.2;
-/// Node budget of the `budget_abort` case — a small fraction of what the
-/// 12-bit reachability fixpoint allocates, so the abort fires early.
+const CACHE_WARM_GRACE_S: f64 = 0.005;
+/// Node budget of `budget_abort`, a small fraction of what reach12
+/// allocates.
 const BUDGET_ABORT_LIMIT: usize = 20_000;
 /// Bound on nodes allocated past the tripped limit: twice the manager's
-/// amortized check interval (1024 ITE misses), matching the contract the
-/// `pv-bdd` budget tests pin down.
+/// amortized check interval (1024 ITE misses), the contract the `pv-bdd`
+/// budget tests pin down.
 const BUDGET_ABORT_OVERSHOOT_LIMIT: usize = 2 * 1024;
-/// Hard wall ceiling for the budget abort — the full reach12 sweep takes
-/// seconds; an abort at 20k nodes must take a small fraction of one.
+/// Hard wall ceiling for the budget abort.
 const BUDGET_ABORT_WALL_LIMIT_S: f64 = 1.0;
-/// Absolute grace for the warm sweep: below this wall the ratio gate is
-/// satisfied outright. On a fast machine the whole cold smoke sweep is
-/// ~15 ms, so 0.2× of it sits inside scheduler noise — a warm sweep that
-/// finishes in a few milliseconds *is* the file-read path the ratio gate
-/// exists to enforce.
-const CACHE_WARM_GRACE_S: f64 = 0.005;
-/// Ceiling on the traced sequential Alpha0 sweep, as a factor of its
-/// untraced twin (acceptance criterion: `PV_TRACE=1` regresses ≤ 10% wall).
-const TRACE_OVERHEAD_FACTOR: f64 = 1.10;
-/// Absolute grace for the traced sweep: on a fast machine 10% of the
-/// sequential wall sits inside scheduler noise, so the gate takes the max
-/// of the relative and `untraced + grace` ceilings.
-const TRACE_OVERHEAD_GRACE_S: f64 = 0.5;
 
-struct Measurement {
-    key: &'static str,
-    value: f64,
+/// The cases, in run order.
+const CASES: &[fn(&mut Sheet)] = &[
+    reach12,
+    adder16,
+    vsm,
+    alpha0_sweep,
+    flush3,
+    flush_par,
+    cache_warm,
+    budget_abort,
+];
+
+fn main() {
+    let mut sheet = Sheet::default();
+    sheet.record("cores", cores() as f64);
+    sheet.record(
+        "pv_threads_effective",
+        pipeverify_core::pool::default_threads() as f64,
+    );
+    for case in CASES {
+        case(&mut sheet);
+    }
+
+    let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/BENCH_bdd.json");
+    let baseline = std::fs::read_to_string(baseline_path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()));
+    match baseline {
+        Ok(baseline) => {
+            let regressions = sheet.counter_regressions(&baseline);
+            sheet.failures.extend(regressions);
+        }
+        Err(e) => sheet
+            .failures
+            .push(format!("cannot read baseline {baseline_path}: {e}")),
+    }
+
+    std::fs::write("BENCH_bdd.json", sheet.to_json().render() + "\n")
+        .expect("write BENCH_bdd.json");
+    println!("wrote BENCH_bdd.json");
+    if sheet.failures.is_empty() {
+        println!("perf-smoke: OK");
+    } else {
+        for f in &sheet.failures {
+            eprintln!("perf-smoke FAILURE: {f}");
+        }
+        std::process::exit(1);
+    }
 }
 
 /// Hit-rate `hits / (hits + misses)`; 0 when nothing was looked up.
@@ -180,21 +154,83 @@ fn hit_rate(hits: usize, misses: usize) -> f64 {
     }
 }
 
-/// Pulls a named counter out of a report's deterministic `metrics` snapshot.
-fn report_metric(metrics: &std::collections::BTreeMap<String, u64>, key: &str) -> u64 {
-    metrics.get(key).copied().unwrap_or(0)
+/// Writes one operator's computed-table work: calls and misses as
+/// counters, the hit-rate as a record. Calls catch a table that stops
+/// answering even when the misses and the node counts do not move: each
+/// lost hit becomes a recomputation whose own lookups hit. Returns the
+/// hit-rate.
+fn op_work(sheet: &mut Sheet, case: &str, op: &str, hits: usize, misses: usize) -> f64 {
+    let rate = hit_rate(hits, misses);
+    sheet.counter(format!("{case}_{op}_calls"), hits + misses);
+    sheet.counter(format!("{case}_{op}_misses"), misses);
+    sheet.record(format!("{case}_{op}_hit_rate"), rate);
+    rate
 }
 
-fn main() {
-    let mut measurements: Vec<Measurement> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
+/// Writes a β-relation report's work: allocated, peak live, and the ITE and
+/// `constrain` work from the report's deterministic `metrics`. Returns the
+/// ITE hit-rate.
+fn report_work(sheet: &mut Sheet, case: &str, report: &VerificationReport) -> f64 {
+    let metric = |key| report.metrics.get(key).map_or(0, |&v| v as usize);
+    sheet.counter(format!("{case}_allocated"), report.bdd_nodes);
+    sheet.counter(format!("{case}_peak_live"), report.bdd_peak_live);
+    op_work(
+        sheet,
+        case,
+        "constrain",
+        metric("bdd.constrain.cache_hit"),
+        metric("bdd.constrain.cache_miss"),
+    );
+    op_work(
+        sheet,
+        case,
+        "ite",
+        metric("bdd.ite.cache_hit"),
+        metric("bdd.ite.cache_miss"),
+    )
+}
 
-    // 1. 12-bit counter reachability, 10 samples.
+/// The runner's core count as the OS reports it (affinity masks included).
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Whether the runner has a second core for a parallel twin to win with;
+/// prints the skip notice for `case` when it has not.
+fn parallel_gate_applies(case: &str) -> bool {
+    let cores = cores();
+    if cores < 2 {
+        println!(
+            "{case:14}: NOTICE — single-core runner ({cores} core(s), effective PV_THREADS {}), skipping the parallel-beats-sequential gate",
+            pipeverify_core::pool::default_threads()
+        );
+    }
+    cores >= 2
+}
+
+/// Whether two β-relation reports agree on everything but walls.
+fn same_report(a: &VerificationReport, b: &VerificationReport) -> bool {
+    a.bdd_nodes == b.bdd_nodes
+        && a.bdd_peak_live == b.bdd_peak_live
+        && a.samples_compared == b.samples_compared
+        && a.bdd_vars == b.bdd_vars
+        && a.plans_checked == b.plans_checked
+        && a.filters == b.filters
+        && a.metrics == b.metrics
+}
+
+/// Whether two flushing reports agree on everything but walls.
+fn same_flush_report(a: &FlushReport, b: &FlushReport) -> bool {
+    a.splits == b.splits
+        && a.closure_checks == b.closure_checks
+        && a.terms == b.terms
+        && a.cubes_checked == b.cubes_checked
+        && a.counterexample == b.counterexample
+}
+
+fn reach12(sheet: &mut Sheet) {
     let samples = 10usize;
-    let mut peak_live = 0usize;
-    let mut allocated = 0usize;
-    let mut ite_hits = 0usize;
-    let mut ite_misses = 0usize;
+    let (mut peak_live, mut allocated, mut hits, mut misses) = (0, 0, 0, 0);
     let start = Instant::now();
     for _ in 0..samples {
         let mut m = BddManager::new();
@@ -205,44 +241,26 @@ fn main() {
             "fixpoint after 2^12 increments"
         );
         let stats = m.stats();
-        peak_live = peak_live.max(stats.peak_live);
-        allocated = allocated.max(stats.allocated);
-        ite_hits += stats.ite_hits;
-        ite_misses += stats.ite_misses;
+        peak_live = stats.peak_live.max(peak_live);
+        allocated = stats.allocated.max(allocated);
+        hits += stats.ite_hits;
+        misses += stats.ite_misses;
     }
-    let reach_wall = start.elapsed().as_secs_f64();
-    let reach_hit_rate = hit_rate(ite_hits, ite_misses);
+    let wall = start.elapsed().as_secs_f64();
+    sheet.counter("reach12_allocated", allocated);
+    sheet.counter("reach12_peak_live", peak_live);
+    let rate = op_work(sheet, "reach12", "ite", hits, misses);
     println!(
-        "reach12       : {samples} samples in {reach_wall:.3} s, peak live {peak_live}, allocated {allocated}, ITE hit-rate {:.3}",
-        reach_hit_rate
+        "reach12       : {samples} samples in {wall:.3} s, peak live {peak_live}, allocated {allocated}, ITE hit-rate {rate:.3}"
     );
-    measurements.push(Measurement {
-        key: "reach12_wall_s",
-        value: reach_wall,
+    sheet.record("reach12_wall_s", wall);
+    sheet.check(wall <= REACH12_WALL_LIMIT_S, || {
+        format!("reach12 wall {wall:.3} s exceeds the {REACH12_WALL_LIMIT_S} s hard limit")
     });
-    measurements.push(Measurement {
-        key: "reach12_peak_live",
-        value: peak_live as f64,
-    });
-    measurements.push(Measurement {
-        key: "reach12_ite_hit_rate",
-        value: reach_hit_rate,
-    });
-    if reach_wall > REACH12_WALL_LIMIT_S {
-        failures.push(format!(
-            "reach12 wall {reach_wall:.3} s exceeds the {REACH12_WALL_LIMIT_S} s hard limit"
-        ));
-    }
-    if reach_wall
-        > (PRE_COMPL_REACH12_WALL_S * PRE_COMPL_WALL_FACTOR)
-            .max(PRE_COMPL_REACH12_WALL_S + PRE_COMPL_WALL_GRACE_S)
-    {
-        failures.push(format!(
-            "reach12 wall {reach_wall:.3} s exceeds {PRE_COMPL_WALL_FACTOR}x the pre-complement record {PRE_COMPL_REACH12_WALL_S} s — the edge retrofit must not slow reachability"
-        ));
-    }
+}
 
-    // 2. 16-bit interleaved adder, median of 100 builds.
+fn adder16(sheet: &mut Sheet) {
+    let mut stats = None;
     let mut times: Vec<Duration> = (0..100)
         .map(|_| {
             let start = Instant::now();
@@ -250,84 +268,46 @@ fn main() {
             let words = BddVec::new_interleaved(&mut m, 2, 16);
             let sum = words[0].1.add(&mut m, &words[1].1);
             assert_eq!(sum.width(), 16);
-            start.elapsed()
+            let elapsed = start.elapsed();
+            stats = Some(m.stats());
+            elapsed
         })
         .collect();
     times.sort_unstable();
-    let adder_median = times[times.len() / 2].as_secs_f64();
-    println!("adder16       : median {:.1} µs", adder_median * 1e6);
-    measurements.push(Measurement {
-        key: "adder16_median_s",
-        value: adder_median,
+    let median = times[times.len() / 2].as_secs_f64();
+    let stats = stats.expect("at least one build");
+    println!(
+        "adder16       : median {:.1} µs, allocated {}",
+        median * 1e6,
+        stats.allocated
+    );
+    sheet.counter("adder16_allocated", stats.allocated);
+    op_work(sheet, "adder16", "ite", stats.ite_hits, stats.ite_misses);
+    sheet.record("adder16_median_s", median);
+    sheet.check(median <= ADDER16_MEDIAN_LIMIT_S, || {
+        format!("adder16 median {median:.6} s exceeds the {ADDER16_MEDIAN_LIMIT_S} s hard limit")
     });
-    if adder_median > ADDER16_MEDIAN_LIMIT_S {
-        failures.push(format!(
-            "adder16 median {adder_median:.6} s exceeds the {ADDER16_MEDIAN_LIMIT_S} s hard limit"
-        ));
-    }
+}
 
-    // 3. Quickstart VSM verification.
+fn vsm(sheet: &mut Sheet) {
     let start = Instant::now();
     let config = VsmConfig::reduced(2);
     let pipelined = vsm::pipelined(config).expect("build pipelined VSM");
     let unpipelined = vsm::unpipelined(config).expect("build unpipelined VSM");
-    let verifier = Verifier::new(MachineSpec::vsm_reduced(2));
-    let report = verifier
+    let report = Verifier::new(MachineSpec::vsm_reduced(2))
         .verify(&pipelined, &unpipelined)
         .expect("verify VSM");
     assert!(report.equivalent(), "quickstart VSM must verify");
-    let vsm_wall = start.elapsed().as_secs_f64();
-    let vsm_hit_rate = hit_rate(
-        report_metric(&report.metrics, "bdd.ite.cache_hit") as usize,
-        report_metric(&report.metrics, "bdd.ite.cache_miss") as usize,
-    );
+    let wall = start.elapsed().as_secs_f64();
+    let rate = report_work(sheet, "vsm", &report);
     println!(
-        "vsm quickstart: {vsm_wall:.3} s, allocated {} nodes, peak live {}, ITE hit-rate {vsm_hit_rate:.3}",
+        "vsm quickstart: {wall:.3} s, allocated {} nodes, peak live {}, ITE hit-rate {rate:.3}",
         report.bdd_nodes, report.bdd_peak_live
     );
-    measurements.push(Measurement {
-        key: "vsm_wall_s",
-        value: vsm_wall,
-    });
-    measurements.push(Measurement {
-        key: "vsm_allocated_nodes",
-        value: report.bdd_nodes as f64,
-    });
-    measurements.push(Measurement {
-        key: "vsm_peak_live",
-        value: report.bdd_peak_live as f64,
-    });
-    measurements.push(Measurement {
-        key: "vsm_ite_hit_rate",
-        value: vsm_hit_rate,
-    });
-    if vsm_wall
-        > (PRE_COMPL_VSM_WALL_S * PRE_COMPL_WALL_FACTOR)
-            .max(PRE_COMPL_VSM_WALL_S + PRE_COMPL_WALL_GRACE_S)
-    {
-        failures.push(format!(
-            "vsm wall {vsm_wall:.3} s exceeds {PRE_COMPL_WALL_FACTOR}x the pre-complement record {PRE_COMPL_VSM_WALL_S} s — the edge retrofit must not slow the quickstart"
-        ));
-    }
+    sheet.record("vsm_wall_s", wall);
+}
 
-    // 4. Parallel Alpha0 control-transfer sweep vs its sequential twin: same
-    //    plans, same netlists, one fresh BDD manager per plan either way.
-    //
-    //    The runner's core count and the worker count `PV_THREADS` actually
-    //    resolves to are recorded as context fields: a wall-time comparison
-    //    between two JSON artifacts is meaningless without them, and the
-    //    skip-with-notice messages quote both so a skipped parallel gate is
-    //    attributable from the log alone.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let effective_threads = pipeverify_core::pool::default_threads();
-    measurements.push(Measurement {
-        key: "cores",
-        value: cores as f64,
-    });
-    measurements.push(Measurement {
-        key: "pv_threads_effective",
-        value: effective_threads as f64,
-    });
+fn alpha0_sweep(sheet: &mut Sheet) {
     let isa = Alpha0Config::condensed();
     let pipelined = alpha0::pipelined(PipelineConfig::condensed(isa)).expect("build pipelined");
     let unpipelined =
@@ -336,156 +316,68 @@ fn main() {
         .map(|x| SimulationPlan::with_control_at(SWEEP_SLOTS, x))
         .collect();
     let verifier = Verifier::new(MachineSpec::alpha0_condensed(isa));
-    let start = Instant::now();
-    let seq = verifier
-        .clone()
-        .with_threads(1)
-        .verify_plans(&pipelined, &unpipelined, &sweep)
-        .expect("sequential sweep");
-    let seq_wall = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let par = verifier
-        .clone()
-        .with_threads(SWEEP_THREADS)
-        .verify_plans(&pipelined, &unpipelined, &sweep)
-        .expect("parallel sweep");
-    let par_wall = start.elapsed().as_secs_f64();
-    assert!(seq.equivalent() && par.equivalent(), "sweep must verify");
-    println!(
-        "alpha0_sweep  : sequential {seq_wall:.3} s; {} workers {par_wall:.3} s ({:.2}x) on {cores} core(s), {} nodes/plan-sum",
-        par.threads_used,
-        seq_wall / par_wall.max(1e-9),
-        par.bdd_nodes,
-    );
-    // The deterministic-merge guarantee, gated: any divergence between the
-    // sequential and the parallel report is a correctness failure, not a
-    // perf regression.
-    if seq.bdd_nodes != par.bdd_nodes
-        || seq.bdd_peak_live != par.bdd_peak_live
-        || seq.samples_compared != par.samples_compared
-        || seq.bdd_vars != par.bdd_vars
-        || seq.plans_checked != par.plans_checked
-        || seq.filters != par.filters
-    {
-        failures.push(format!(
-            "alpha0_sweep parallel report diverges from sequential: {} vs {} nodes, {} vs {} peak live, {} vs {} samples",
-            par.bdd_nodes, seq.bdd_nodes, par.bdd_peak_live, seq.bdd_peak_live,
-            par.samples_compared, seq.samples_compared
-        ));
-    }
-    measurements.push(Measurement {
-        key: "alpha0_sweep_seq_wall_s",
-        value: seq_wall,
-    });
-    measurements.push(Measurement {
-        key: "alpha0_sweep_par_wall_s",
-        value: par_wall,
-    });
-    measurements.push(Measurement {
-        key: "alpha0_sweep_allocated",
-        value: seq.bdd_nodes as f64,
-    });
-    measurements.push(Measurement {
-        key: "alpha0_sweep_peak_live",
-        value: seq.bdd_peak_live as f64,
-    });
-    // The pre-complement record rides along in the artifact, and the
-    // tentpole's reduction gate is enforced against it: complemented edges
-    // plus the FORCE static order must cut *both* the total allocation and
-    // the peak live set by at least PRE_COMPL_REDUCTION_FACTOR.
-    measurements.push(Measurement {
-        key: "alpha0_sweep_allocated_pre_compl",
-        value: PRE_COMPL_ALPHA0_ALLOCATED,
-    });
-    measurements.push(Measurement {
-        key: "alpha0_sweep_peak_live_pre_compl",
-        value: PRE_COMPL_ALPHA0_PEAK_LIVE,
-    });
-    if (seq.bdd_nodes as f64) * PRE_COMPL_REDUCTION_FACTOR > PRE_COMPL_ALPHA0_ALLOCATED {
-        failures.push(format!(
-            "alpha0_sweep allocated {} nodes — less than a {PRE_COMPL_REDUCTION_FACTOR}x reduction over the pre-complement record {PRE_COMPL_ALPHA0_ALLOCATED}",
-            seq.bdd_nodes
-        ));
-    }
-    if (seq.bdd_peak_live as f64) * PRE_COMPL_REDUCTION_FACTOR > PRE_COMPL_ALPHA0_PEAK_LIVE {
-        failures.push(format!(
-            "alpha0_sweep peak live {} nodes — less than a {PRE_COMPL_REDUCTION_FACTOR}x reduction over the pre-complement record {PRE_COMPL_ALPHA0_PEAK_LIVE}",
-            seq.bdd_peak_live
-        ));
-    }
-    measurements.push(Measurement {
-        key: "alpha0_sweep_ite_hit_rate",
-        value: hit_rate(
-            report_metric(&seq.metrics, "bdd.ite.cache_hit") as usize,
-            report_metric(&seq.metrics, "bdd.ite.cache_miss") as usize,
-        ),
-    });
-    if cores >= 2 {
-        if par_wall >= seq_wall {
-            failures.push(format!(
-                "alpha0_sweep_par {par_wall:.3} s did not beat the sequential twin {seq_wall:.3} s on {cores} cores — the worker pool must win"
-            ));
-        }
-    } else {
-        println!(
-            "alpha0_sweep  : NOTICE — single-core runner ({cores} core(s), effective PV_THREADS {effective_threads}), skipping the parallel-beats-sequential gate"
-        );
-    }
-
-    // 7. Traced-overhead twin: the same sequential sweep with span tracing
-    //    live. Tracing must not perturb the report, the emitted events must
-    //    bracket correctly, and the wall-clock overhead is the tentpole's
-    //    ≤ 10% budget.
+    let timed = |threads: usize| {
+        let start = Instant::now();
+        let report = verifier
+            .clone()
+            .with_threads(threads)
+            .verify_plans(&pipelined, &unpipelined, &sweep)
+            .expect("sweep");
+        assert!(report.equivalent(), "sweep must verify");
+        (report, start.elapsed().as_secs_f64())
+    };
+    let (seq, seq_wall) = timed(1);
+    let (par, par_wall) = timed(TWIN_THREADS);
     pv_obs::take_events(); // drop anything earlier cases buffered
     pv_obs::set_trace_enabled(true);
-    let start = Instant::now();
-    let traced = verifier
-        .with_threads(1)
-        .verify_plans(&pipelined, &unpipelined, &sweep)
-        .expect("traced sweep");
-    let traced_wall = start.elapsed().as_secs_f64();
+    let (traced, traced_wall) = timed(1);
     pv_obs::set_trace_enabled(false);
     let events = pv_obs::take_events();
     println!(
-        "alpha0_traced : sequential {traced_wall:.3} s with tracing on ({:.1}% over untraced, {} events)",
-        100.0 * (traced_wall / seq_wall.max(1e-9) - 1.0),
+        "alpha0_sweep  : sequential {seq_wall:.3} s; {} workers {par_wall:.3} s ({:.2}x); traced {traced_wall:.3} s ({} events); {} allocated, peak live {}",
+        par.threads_used,
+        seq_wall / par_wall.max(1e-9),
         events.len(),
+        seq.bdd_nodes,
+        seq.bdd_peak_live,
     );
-    if traced.bdd_nodes != seq.bdd_nodes
-        || traced.bdd_peak_live != seq.bdd_peak_live
-        || traced.samples_compared != seq.samples_compared
-        || traced.bdd_vars != seq.bdd_vars
-        || traced.plans_checked != seq.plans_checked
-        || traced.filters != seq.filters
-        || traced.metrics != seq.metrics
-    {
-        failures.push(format!(
-            "alpha0_sweep traced report diverges from untraced: {} vs {} nodes, {} vs {} peak live — tracing perturbed verification",
-            traced.bdd_nodes, seq.bdd_nodes, traced.bdd_peak_live, seq.bdd_peak_live,
-        ));
+    report_work(sheet, "alpha0_sweep", &seq);
+    sheet.record("alpha0_sweep_seq_wall_s", seq_wall);
+    sheet.record("alpha0_sweep_par_wall_s", par_wall);
+    sheet.record("alpha0_sweep_traced_wall_s", traced_wall);
+
+    sheet.check(same_report(&seq, &par), || {
+        format!(
+            "alpha0_sweep parallel report diverges from sequential: {} vs {} nodes, {} vs {} peak live",
+            par.bdd_nodes, seq.bdd_nodes, par.bdd_peak_live, seq.bdd_peak_live
+        )
+    });
+    if parallel_gate_applies("alpha0_sweep") {
+        sheet.check(par_wall < seq_wall, || {
+            format!("alpha0_sweep_par {par_wall:.3} s did not beat the sequential twin {seq_wall:.3} s — the worker pool must win")
+        });
     }
-    if events.is_empty() {
-        failures.push("alpha0_sweep traced run emitted no span events".to_owned());
-    }
+    sheet.check(same_report(&seq, &traced), || {
+        format!(
+            "alpha0_sweep traced report diverges from untraced: {} vs {} nodes — tracing perturbed verification",
+            traced.bdd_nodes, seq.bdd_nodes
+        )
+    });
+    sheet.check(!events.is_empty(), || {
+        "alpha0_sweep traced run emitted no span events".to_owned()
+    });
     if let Err(e) = pv_obs::fold::check_nesting(&events) {
-        failures.push(format!(
+        sheet.failures.push(format!(
             "alpha0_sweep traced events violate span nesting: {e}"
         ));
     }
-    measurements.push(Measurement {
-        key: "alpha0_sweep_traced_wall_s",
-        value: traced_wall,
+    let ceiling = (seq_wall * TRACE_OVERHEAD_FACTOR).max(seq_wall + TRACE_OVERHEAD_GRACE_S);
+    sheet.check(traced_wall <= ceiling, || {
+        format!("alpha0_sweep traced wall {traced_wall:.3} s exceeds the {TRACE_OVERHEAD_FACTOR}x overhead budget over the untraced {seq_wall:.3} s")
     });
-    if traced_wall > (seq_wall * TRACE_OVERHEAD_FACTOR).max(seq_wall + TRACE_OVERHEAD_GRACE_S) {
-        failures.push(format!(
-            "alpha0_sweep traced wall {traced_wall:.3} s exceeds the {TRACE_OVERHEAD_FACTOR}x overhead budget over the untraced {seq_wall:.3} s"
-        ));
-    }
+}
 
-    // 5. Flushing of the stallable VSM: derive the term-level pipeline from
-    //    the netlist the β-relation flow simulates, decide the commuting
-    //    diagram, and gate the deterministic-merge guarantee of the parallel
-    //    EUF case split (report identity for any worker count).
+fn flush3(sheet: &mut Sheet) {
     let stallable = vsm::pipelined(VsmConfig::reduced(2).stallable()).expect("build stallable VSM");
     let flush3 = FlushVerifier::from_netlist(&stallable).expect("derive flushing verifier");
     assert_eq!(
@@ -494,105 +386,62 @@ fn main() {
         "the stallable VSM drains in three bubble cycles"
     );
     let start = Instant::now();
-    let mut flush3_seq = flush3.clone().with_threads(1).verify();
+    let mut seq = flush3.clone().with_threads(1).verify();
     for _ in 1..FLUSH3_REPEATS {
-        flush3_seq = flush3.clone().with_threads(1).verify();
+        seq = flush3.clone().with_threads(1).verify();
     }
-    let flush3_wall = start.elapsed().as_secs_f64();
-    assert!(
-        flush3_seq.valid(),
-        "the stallable VSM must verify: {flush3_seq}"
-    );
-    let flush3_par = flush3.clone().with_threads(SWEEP_THREADS).verify();
+    let wall = start.elapsed().as_secs_f64();
+    assert!(seq.valid(), "the stallable VSM must verify: {seq}");
+    let par = flush3.with_threads(TWIN_THREADS).verify();
     println!(
-        "flush3        : {FLUSH3_REPEATS} runs in {flush3_wall:.3} s ({} terms, {} splits over {} blocks, flush bound {})",
-        flush3_seq.terms,
-        flush3_seq.splits,
-        flush3_seq.cubes,
-        flush3.desc().flush_bound(),
+        "flush3        : {FLUSH3_REPEATS} runs in {wall:.3} s ({} terms, {} splits over {} blocks)",
+        seq.terms, seq.splits, seq.cubes,
     );
-    if flush3_seq.splits != flush3_par.splits
-        || flush3_seq.closure_checks != flush3_par.closure_checks
-        || flush3_seq.terms != flush3_par.terms
-        || flush3_seq.cubes_checked != flush3_par.cubes_checked
-        || flush3_seq.counterexample != flush3_par.counterexample
-    {
-        failures.push(format!(
-            "flush3 parallel report diverges from sequential: {}/{} splits, {}/{} closure checks, {}/{} blocks",
-            flush3_par.splits, flush3_seq.splits,
-            flush3_par.closure_checks, flush3_seq.closure_checks,
-            flush3_par.cubes_checked, flush3_seq.cubes_checked,
-        ));
-    }
-    measurements.push(Measurement {
-        key: "flush3_wall_s",
-        value: flush3_wall,
+    sheet.counter("flush3_splits", seq.splits);
+    sheet.record("flush3_wall_s", wall);
+    sheet.check(same_flush_report(&seq, &par), || {
+        format!(
+            "flush3 parallel report diverges from sequential: {}/{} splits, {}/{} blocks",
+            par.splits, seq.splits, par.cubes_checked, seq.cubes_checked
+        )
     });
-    measurements.push(Measurement {
-        key: "flush3_splits",
-        value: flush3_seq.splits as f64,
-    });
-    if flush3_wall
-        > (PRE_COMPL_FLUSH3_WALL_S * PRE_COMPL_WALL_FACTOR)
-            .max(PRE_COMPL_FLUSH3_WALL_S + PRE_COMPL_WALL_GRACE_S)
-    {
-        failures.push(format!(
-            "flush3 wall {flush3_wall:.4} s exceeds {PRE_COMPL_WALL_FACTOR}x the pre-complement record {PRE_COMPL_FLUSH3_WALL_S} s — the term-level flow must be untouched by the edge retrofit"
-        ));
-    }
+}
 
-    // 6. Parallel EUF case split on a deep pipeline: sequential vs 4-worker
-    //    twin, with the same >=2-core skip-with-notice rule as case 4.
+fn flush_par(sheet: &mut Sheet) {
     let deep = PipelineDesc::with_depth(FLUSH_PAR_DEPTH);
-    let start = Instant::now();
-    let deep_seq = FlushVerifier::new(deep.clone()).with_threads(1).verify();
-    let deep_seq_wall = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let deep_par = FlushVerifier::new(deep)
-        .with_threads(SWEEP_THREADS)
-        .verify();
-    let deep_par_wall = start.elapsed().as_secs_f64();
-    assert!(deep_seq.valid(), "the deep pipeline must verify");
+    let timed = |threads: usize| {
+        let start = Instant::now();
+        let report = FlushVerifier::new(deep.clone())
+            .with_threads(threads)
+            .verify();
+        (report, start.elapsed().as_secs_f64())
+    };
+    let (seq, seq_wall) = timed(1);
+    let (par, par_wall) = timed(TWIN_THREADS);
+    assert!(seq.valid(), "the deep pipeline must verify");
     println!(
-        "flush_par     : depth {FLUSH_PAR_DEPTH} sequential {deep_seq_wall:.3} s; {} workers {deep_par_wall:.3} s ({:.2}x) on {cores} core(s), {} splits",
-        deep_par.threads_used,
-        deep_seq_wall / deep_par_wall.max(1e-9),
-        deep_seq.splits,
+        "flush_par     : depth {FLUSH_PAR_DEPTH} sequential {seq_wall:.3} s; {} workers {par_wall:.3} s ({:.2}x), {} splits",
+        par.threads_used,
+        seq_wall / par_wall.max(1e-9),
+        seq.splits,
     );
-    if deep_seq.splits != deep_par.splits
-        || deep_seq.closure_checks != deep_par.closure_checks
-        || deep_seq.counterexample != deep_par.counterexample
-    {
-        failures.push(format!(
+    sheet.counter("flush_par_splits", seq.splits);
+    sheet.record("flush_par_seq_wall_s", seq_wall);
+    sheet.record("flush_par_par_wall_s", par_wall);
+    sheet.check(same_flush_report(&seq, &par), || {
+        format!(
             "flush_par parallel report diverges from sequential: {}/{} splits, {}/{} closure checks",
-            deep_par.splits, deep_seq.splits, deep_par.closure_checks, deep_seq.closure_checks,
-        ));
-    }
-    measurements.push(Measurement {
-        key: "flush_par_seq_wall_s",
-        value: deep_seq_wall,
+            par.splits, seq.splits, par.closure_checks, seq.closure_checks
+        )
     });
-    measurements.push(Measurement {
-        key: "flush_par_par_wall_s",
-        value: deep_par_wall,
-    });
-    if cores >= 2 {
-        if deep_par_wall >= deep_seq_wall {
-            failures.push(format!(
-                "flush_par {deep_par_wall:.3} s did not beat the sequential twin {deep_seq_wall:.3} s on {cores} cores — the parallel case split must win"
-            ));
-        }
-    } else {
-        println!(
-            "flush_par     : NOTICE — single-core runner ({cores} core(s), effective PV_THREADS {effective_threads}), skipping the parallel-beats-sequential gate"
-        );
+    if parallel_gate_applies("flush_par") {
+        sheet.check(par_wall < seq_wall, || {
+            format!("flush_par {par_wall:.3} s did not beat the sequential twin {seq_wall:.3} s — the parallel case split must win")
+        });
     }
+}
 
-    // 8. Warm artifact-cache replay: the family-matrix smoke sweep through
-    //    the verification service's job runner, cold then warm against one
-    //    scratch cache. The warm sweep must cost at most CACHE_WARM_FACTOR
-    //    of the cold wall clock, miss nothing, and reproduce the cold
-    //    reports byte-for-byte.
+fn cache_warm(sheet: &mut Sheet) {
     let scratch = std::env::temp_dir().join(format!("pv-perf-smoke-cache-{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
     let mut jobs: Vec<JobRequest> = Vec::new();
@@ -600,13 +449,9 @@ fn main() {
         let mut cells: Vec<Option<FamilyBug>> = vec![None];
         cells.extend(cell_bugs(&config).into_iter().map(Some));
         for bug in cells {
-            let design = match bug {
-                Some(bug) => config.with_bug(bug),
-                None => config,
-            };
             jobs.push(JobRequest {
                 id: jobs.len() as u64,
-                design: DesignSpec::Family(design),
+                design: DesignSpec::Family(bug.map_or(config, |bug| config.with_bug(bug))),
                 flows: vec![FlowKind::Beta, FlowKind::Flushing],
                 plans: PlanSet::Default,
                 deadline_ms: None,
@@ -616,7 +461,7 @@ fn main() {
     }
     let render_sweep = |runner: &JobRunner| -> (f64, Vec<String>) {
         let start = Instant::now();
-        let outcomes = sched::run_jobs(runner, &jobs, SWEEP_THREADS, |_, _| {});
+        let outcomes = sched::run_jobs(runner, &jobs, TWIN_THREADS, |_, _| {});
         let wall = start.elapsed().as_secs_f64();
         let lines = outcomes
             .into_iter()
@@ -632,55 +477,33 @@ fn main() {
         (wall, lines)
     };
     let cold_runner = JobRunner::new(Some(ArtifactCache::at(scratch.join("cache"))));
-    let (cache_cold_wall, cold_lines) = render_sweep(&cold_runner);
+    let (cold_wall, cold_lines) = render_sweep(&cold_runner);
     let warm_runner = JobRunner::new(Some(ArtifactCache::at(scratch.join("cache"))));
-    let (cache_warm_wall, warm_lines) = render_sweep(&warm_runner);
+    let (warm_wall, warm_lines) = render_sweep(&warm_runner);
+    std::fs::remove_dir_all(&scratch).ok();
+    let (hits, misses) = (warm_runner.cache_hits(), warm_runner.cache_misses());
     println!(
-        "cache_warm    : {} jobs cold {cache_cold_wall:.3} s ({} engine runs); warm {cache_warm_wall:.3} s ({} hits, {} misses)",
+        "cache_warm    : {} jobs cold {cold_wall:.3} s ({} engine runs); warm {warm_wall:.3} s ({hits} hits, {misses} misses)",
         jobs.len(),
         cold_runner.cache_misses(),
-        warm_runner.cache_hits(),
-        warm_runner.cache_misses(),
     );
-    if warm_runner.cache_misses() != 0 {
-        failures.push(format!(
-            "cache_warm re-ran {} flow(s) the cache should have answered",
-            warm_runner.cache_misses()
-        ));
-    }
-    if warm_lines != cold_lines {
-        failures.push("cache_warm reports differ from the cold reports".to_owned());
-    }
-    if cache_warm_wall > (cache_cold_wall * CACHE_WARM_FACTOR).max(CACHE_WARM_GRACE_S) {
-        failures.push(format!(
-            "cache_warm {cache_warm_wall:.3} s exceeds {CACHE_WARM_FACTOR} x the cold sweep's {cache_cold_wall:.3} s — the warm path must be a file read, not a re-verification"
-        ));
-    }
-    measurements.push(Measurement {
-        key: "cache_cold_wall_s",
-        value: cache_cold_wall,
+    sheet.record("cache_cold_wall_s", cold_wall);
+    sheet.record("cache_warm_wall_s", warm_wall);
+    sheet.record("cache_warm_hit_rate", hit_rate(hits, misses));
+    sheet.check(misses == 0, || {
+        format!("cache_warm re-ran {misses} flow(s) the cache should have answered")
     });
-    measurements.push(Measurement {
-        key: "cache_warm_wall_s",
-        value: cache_warm_wall,
+    sheet.check(warm_lines == cold_lines, || {
+        "cache_warm reports differ from the cold reports".to_owned()
     });
-    measurements.push(Measurement {
-        key: "cache_warm_hit_rate",
-        value: hit_rate(
-            warm_runner.cache_hits() as usize,
-            warm_runner.cache_misses() as usize,
-        ),
-    });
-    std::fs::remove_dir_all(&scratch).ok();
+    sheet.check(
+        warm_wall <= (cold_wall * CACHE_WARM_FACTOR).max(CACHE_WARM_GRACE_S),
+        || format!("cache_warm {warm_wall:.3} s exceeds {CACHE_WARM_FACTOR} x the cold sweep's {cold_wall:.3} s — the warm path must be a file read, not a re-verification"),
+    );
+}
 
-    // 9. Budget abort latency (`budget_abort`): the 12-bit counter
-    //    reachability workload under a node budget far below its full
-    //    allocation. The abort must land promptly — within the amortized
-    //    check interval past the limit, not after a multiple of the
-    //    workload — and the wall clock must reflect an *early* exit.
-    //    Governance-off overhead is gated by every other case: none of
-    //    them set a budget, and their baselines are unchanged.
-    let abort_start = Instant::now();
+fn budget_abort(sheet: &mut Sheet) {
+    let start = Instant::now();
     let mut m = BddManager::new();
     m.set_budget(Budget::unlimited().with_node_limit(BUDGET_ABORT_LIMIT));
     // The abort unwinds via panic_any; silence the default hook for the
@@ -692,131 +515,26 @@ fn main() {
         let _ = ts.reachable(&mut m);
     }));
     std::panic::set_hook(default_hook);
-    let budget_abort_wall = abort_start.elapsed().as_secs_f64();
-    match aborted {
-        Err(payload) => {
-            let exceeded = payload.downcast_ref::<BudgetExceeded>().copied();
-            if exceeded != Some(BudgetExceeded::Nodes) {
-                failures.push(format!(
-                    "budget_abort unwound with {exceeded:?}, not the node-limit abort"
-                ));
-            }
-        }
-        Ok(()) => failures.push(format!(
-            "budget_abort: reachability finished under a {BUDGET_ABORT_LIMIT}-node budget — the limit never tripped"
-        )),
-    }
-    let overshoot = m.stats().allocated.saturating_sub(BUDGET_ABORT_LIMIT);
+    let wall = start.elapsed().as_secs_f64();
+    let exceeded = match &aborted {
+        Err(payload) => payload.downcast_ref::<BudgetExceeded>().copied(),
+        Ok(()) => None,
+    };
+    let allocated = m.stats().allocated;
+    let overshoot = allocated.saturating_sub(BUDGET_ABORT_LIMIT);
     println!(
-        "budget_abort  : aborted in {budget_abort_wall:.4} s, allocated {} of {BUDGET_ABORT_LIMIT} + {overshoot} overshoot",
-        m.stats().allocated,
+        "budget_abort  : aborted in {wall:.4} s, allocated {allocated} of {BUDGET_ABORT_LIMIT} + {overshoot} overshoot"
     );
-    if overshoot > BUDGET_ABORT_OVERSHOOT_LIMIT {
-        failures.push(format!(
-            "budget_abort overshot the node limit by {overshoot} nodes (max {BUDGET_ABORT_OVERSHOOT_LIMIT}) — a budget check site is missing"
-        ));
-    }
-    if budget_abort_wall > BUDGET_ABORT_WALL_LIMIT_S {
-        failures.push(format!(
-            "budget_abort took {budget_abort_wall:.3} s to trip (max {BUDGET_ABORT_WALL_LIMIT_S} s) — the abort must be early, not after the workload"
-        ));
-    }
-    measurements.push(Measurement {
-        key: "budget_abort_wall_s",
-        value: budget_abort_wall,
+    sheet.record("budget_abort_wall_s", wall);
+    sheet.record("budget_abort_overshoot_nodes", overshoot as f64);
+    sheet.check(exceeded == Some(BudgetExceeded::Nodes), || match aborted {
+        Ok(()) => format!("budget_abort: reachability finished under a {BUDGET_ABORT_LIMIT}-node budget — the limit never tripped"),
+        Err(_) => format!("budget_abort unwound with {exceeded:?}, not the node-limit abort"),
     });
-    measurements.push(Measurement {
-        key: "budget_abort_overshoot_nodes",
-        value: overshoot as f64,
+    sheet.check(overshoot <= BUDGET_ABORT_OVERSHOOT_LIMIT, || {
+        format!("budget_abort overshot the node limit by {overshoot} nodes (max {BUDGET_ABORT_OVERSHOOT_LIMIT}) — a budget check site is missing")
     });
-
-    // Compare against the checked-in baseline (order-of-magnitude gate; the
-    // absolute limits above are the hard acceptance criteria).
-    let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/BENCH_bdd.json");
-    match std::fs::read_to_string(baseline_path) {
-        Ok(baseline) => {
-            for m in &measurements {
-                // `cores` and `pv_threads_effective` describe the runner,
-                // not the engine: comparing them across machines is not a
-                // regression check.
-                if matches!(m.key, "cores" | "pv_threads_effective") {
-                    continue;
-                }
-                match json_number(&baseline, m.key) {
-                    Some(base) if base > 0.0 && m.value > base * REGRESSION_FACTOR => {
-                        failures.push(format!(
-                            "{} = {:.6} regressed more than {REGRESSION_FACTOR}× over baseline {:.6}",
-                            m.key, m.value, base
-                        ));
-                    }
-                    Some(_) => {}
-                    None => failures.push(format!("baseline file lacks key `{}`", m.key)),
-                }
-            }
-            // `flush3_splits` is a determinism canary, not a timing: the
-            // committed value is exact, and any drift — up *or* down — means
-            // the case-split decomposition or the verification condition
-            // changed, so it is gated by equality rather than the 10× rule.
-            if let (Some(base), Some(m)) = (
-                json_number(&baseline, "flush3_splits"),
-                measurements.iter().find(|m| m.key == "flush3_splits"),
-            ) {
-                if m.value != base {
-                    failures.push(format!(
-                        "flush3_splits = {} differs from the committed exact baseline {} — the case-split decomposition changed",
-                        m.value, base
-                    ));
-                }
-            }
-        }
-        Err(e) => failures.push(format!("cannot read baseline {baseline_path}: {e}")),
-    }
-
-    write_json(&measurements);
-
-    if failures.is_empty() {
-        println!("perf-smoke: OK");
-    } else {
-        for f in &failures {
-            eprintln!("perf-smoke FAILURE: {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Writes `BENCH_bdd.json` into the current directory: the fresh
-/// measurements plus the seed-engine figures for the before/after record.
-fn write_json(measurements: &[Measurement]) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"pipeverify-bdd-smoke-v1\",\n");
-    out.push_str(&format!(
-        "  \"seed_reach12_wall_s_lower_bound\": {SEED_REACH12_WALL_S},\n"
-    ));
-    out.push_str(&format!(
-        "  \"seed_adder16_sequential_s\": {SEED_ADDER16_SEQUENTIAL_S},\n"
-    ));
-    out.push_str(&format!(
-        "  \"seed_vsm_allocated_nodes\": {SEED_VSM_ALLOCATED_NODES},\n"
-    ));
-    for (i, m) in measurements.iter().enumerate() {
-        let comma = if i + 1 == measurements.len() { "" } else { "," };
-        out.push_str(&format!("  \"{}\": {:.9}{comma}\n", m.key, m.value));
-    }
-    out.push_str("}\n");
-    std::fs::write("BENCH_bdd.json", &out).expect("write BENCH_bdd.json");
-    println!("wrote BENCH_bdd.json");
-}
-
-/// Minimal flat-JSON number extraction: finds `"key"` and parses the number
-/// after the colon. Sufficient for the baseline files this tool writes.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    sheet.check(wall <= BUDGET_ABORT_WALL_LIMIT_S, || {
+        format!("budget_abort took {wall:.3} s to trip (max {BUDGET_ABORT_WALL_LIMIT_S} s) — the abort must be early, not after the workload")
+    });
 }

@@ -4,49 +4,13 @@
 //! thesis reports separately for the unpipelined and the pipelined machine.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
-use pipeverify_core::{
-    CycleInput, MachineSpec, SimulationPlan, SimulationSchedule, Slot, VerificationReport,
-};
+use pipeverify_core::{CycleInput, MachineSpec, SimulationPlan, SimulationSchedule, Slot};
 use pv_bdd::{Bdd, BddManager, BddVec, TransitionSystem, Var};
 use pv_netlist::{Netlist, SymbolicSim};
 
+pub mod gate;
 pub mod matrix;
-
-/// Prints the per-plan breakdown and wall-clock summary of a pooled sweep
-/// run — shared by the `probe` and `probe_alpha0` `PROBE_SWEEP=1` modes.
-/// `label` maps a plan index to the caller's display label (`plan 3`,
-/// `slot 4`, …). The summary ratio is labelled *concurrency*, not speedup:
-/// per-plan walls are measured inside each worker and include preemption, so
-/// the sequential baseline is a separate `PV_THREADS=1` run.
-pub fn print_sweep_breakdown<F: Fn(usize) -> String>(
-    report: &VerificationReport,
-    wall: Duration,
-    label: F,
-) {
-    for plan in &report.plan_reports {
-        println!(
-            "{}: {:9} allocated, peak live {:9}, {:.3} s — {}",
-            label(plan.plan_index),
-            plan.bdd_nodes,
-            plan.bdd_peak_live,
-            plan.wall_time.as_secs_f64(),
-            if plan.equivalent() {
-                "equivalent"
-            } else {
-                "NOT equivalent"
-            }
-        );
-    }
-    println!(
-        "sweep: {:.3} s wall on {} thread(s); per-plan sum {:.3} s ({:.2}x concurrency; A/B against a PV_THREADS=1 run for the true speedup)",
-        wall.as_secs_f64(),
-        report.threads_used,
-        report.plan_wall_total().as_secs_f64(),
-        report.plan_wall_total().as_secs_f64() / wall.as_secs_f64().max(1e-9),
-    );
-}
 
 /// An `n`-bit counter with an enable input, as a partitioned transition
 /// system with interleaved present/next state variables — the machine family
@@ -85,21 +49,31 @@ pub enum Side {
     Unpipelined,
 }
 
+/// The ROBDD size after one simulated cycle of [`simulation_rows`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct CycleRow {
+    /// Nodes created so far, including reclaimed ones (monotone).
+    pub allocated: usize,
+    /// Nodes in the unique table after the cycle's collection check.
+    pub live: usize,
+    /// Sum of the per-bit node counts of the state registers.
+    pub state_nodes: usize,
+}
+
 /// Symbolically simulates one machine of a design pair over the cycles the
-/// verification methodology prescribes for `plan`, and returns the number of
-/// ROBDD nodes created — the cost metric (besides wall-clock time) that the
-/// thesis's experiments are limited by.
+/// verification methodology prescribes for `plan`, and returns one
+/// [`CycleRow`] per simulated cycle.
 ///
 /// The state is cofactored by the instruction-class constraint after every
 /// cycle, exactly as the verifier does (Section 5.2's cofactoring step), so
 /// the measured cost is the cost of the method, not of an unconstrained
 /// simulation.
-pub fn symbolic_simulation_cost(
+pub fn simulation_rows(
     spec: &MachineSpec,
     netlist: &Netlist,
     side: Side,
     plan: &SimulationPlan,
-) -> usize {
+) -> Vec<CycleRow> {
     let schedule = SimulationSchedule::expand(spec, plan);
     let cycles = match side {
         Side::Pipelined => &schedule.pipelined_inputs,
@@ -126,6 +100,7 @@ pub fn symbolic_simulation_cost(
     manager.add_root(assumption);
     let sym = SymbolicSim::new(netlist);
     let mut state = sym.initial_state(&manager);
+    let mut rows = Vec::with_capacity(cycles.len());
     for input in cycles {
         let (instr, reset) = match input {
             CycleInput::Reset => (BddVec::constant(&manager, 0, spec.instr_width), 1),
@@ -151,8 +126,28 @@ pub fn symbolic_simulation_cost(
         }
         state = next;
         manager.maybe_gc(&state.regs);
+        let stats = manager.stats();
+        rows.push(CycleRow {
+            allocated: stats.allocated,
+            live: stats.nodes,
+            state_nodes: state.regs.iter().map(|&b| manager.node_count(b)).sum(),
+        });
     }
-    manager.total_nodes()
+    rows
+}
+
+/// The number of ROBDD nodes [`simulation_rows`] creates over the whole run:
+/// the cost metric (besides wall-clock time) that the thesis's experiments
+/// are limited by.
+pub fn symbolic_simulation_cost(
+    spec: &MachineSpec,
+    netlist: &Netlist,
+    side: Side,
+    plan: &SimulationPlan,
+) -> usize {
+    simulation_rows(spec, netlist, side, plan)
+        .last()
+        .map_or(0, |row| row.allocated)
 }
 
 #[cfg(test)]
@@ -174,5 +169,37 @@ mod tests {
         // are non-trivial and bounded.
         assert!(pc > 1_000 && uc > 1_000);
         assert!(pc < 10_000_000 && uc < 10_000_000);
+    }
+
+    #[test]
+    fn simulation_rows_follow_the_schedule() {
+        let spec = MachineSpec::vsm_reduced(2);
+        let plan = SimulationPlan::paper_vsm();
+        let schedule = SimulationSchedule::expand(&spec, &plan);
+        let pairs = [
+            (
+                vsm::pipelined(VsmConfig::reduced(2)).expect("build"),
+                Side::Pipelined,
+                schedule.pipelined_inputs.len(),
+            ),
+            (
+                vsm::unpipelined(VsmConfig::reduced(2)).expect("build"),
+                Side::Unpipelined,
+                schedule.unpipelined_inputs.len(),
+            ),
+        ];
+        for (netlist, side, cycles) in pairs {
+            let rows = simulation_rows(&spec, &netlist, side, &plan);
+            assert_eq!(rows.len(), cycles, "{side:?}: one row per scheduled cycle");
+            assert!(
+                rows.windows(2).all(|w| w[0].allocated <= w[1].allocated),
+                "{side:?}: allocated never decreases"
+            );
+            assert_eq!(
+                symbolic_simulation_cost(&spec, &netlist, side, &plan),
+                rows.last().expect("non-empty schedule").allocated,
+                "{side:?}: the cost is the last row"
+            );
+        }
     }
 }

@@ -375,7 +375,6 @@ impl fmt::Display for VerificationReport {
 #[derive(Clone, Debug)]
 pub struct Verifier {
     spec: MachineSpec,
-    static_order: bool,
     threads: Option<usize>,
     budget: Option<Budget>,
 }
@@ -404,31 +403,9 @@ impl Verifier {
     pub fn new(spec: MachineSpec) -> Self {
         Verifier {
             spec,
-            static_order: true,
             threads: None,
             budget: None,
         }
-    }
-
-    /// Enables or disables the FORCE-derived **static** bit order for the
-    /// per-slot instruction words (see [`pv_netlist::order`]). It is **on by
-    /// default**: the order is computed once per plan from the pipelined
-    /// netlist's connectivity and decides which instruction bits get the
-    /// topmost BDD variables of each slot block. On ISAs that place control
-    /// fields in the high bits (the Alpha-style encodings of `pv-isa` put
-    /// the opcode in bits 31:26), declaration order allocates the decode
-    /// selector bits *last*, and the connectivity-derived order — which
-    /// fronts the high-fanout control bits — shrinks the condensed-Alpha0
-    /// sweep's total allocation by over 2.5×. `false` restores plain
-    /// declaration (LSB-first) order; the `exp_static_order` bin in
-    /// `pv-bench` reports the A/B.
-    ///
-    /// The order never changes *what* is verified, only the variable levels:
-    /// reports are field-by-field identical apart from node counts and wall
-    /// times.
-    pub fn with_static_order(mut self, enabled: bool) -> Self {
-        self.static_order = enabled;
-        self
     }
 
     /// Sets the worker count used by [`verify_plans`](Self::verify_plans)
@@ -722,34 +699,25 @@ impl Verifier {
         // each.
         //
         // Inside a block, the bits follow the FORCE-derived static order
-        // (`pv_netlist::order`) when enabled: `instr_order[k]` is the
-        // instruction bit that receives the block's k-th (topmost-first)
-        // variable, so decode-selector bits branch before operand fields.
-        let instr_order: Option<Vec<usize>> = self
-            .static_order
-            .then(|| {
-                let mut report = pv_netlist::order::force_order(pipelined);
-                report
-                    .port_orders
-                    .remove(&spec.instr_port)
-                    .filter(|order| order.len() == spec.instr_width)
-            })
-            .flatten();
+        // (`pv_netlist::order`): `instr_order[k]` is the instruction bit that
+        // receives the block's k-th (topmost-first) variable, so
+        // decode-selector bits branch before operand fields. A port order of
+        // the wrong length falls back to declaration order.
+        let instr_order: Vec<usize> = pv_netlist::order::force_order(pipelined)
+            .port_orders
+            .remove(&spec.instr_port)
+            .filter(|order| order.len() == spec.instr_width)
+            .unwrap_or_else(|| (0..spec.instr_width).collect());
         let slot_vars: Vec<Vec<Var>> = schedule
             .slot_classes
             .iter()
             .map(|_| {
                 let alloc = manager.new_vars(spec.instr_width);
-                match &instr_order {
-                    Some(order) => {
-                        let mut vars = alloc.clone();
-                        for (k, &bit) in order.iter().enumerate() {
-                            vars[bit] = alloc[k];
-                        }
-                        vars
-                    }
-                    None => alloc,
+                let mut vars = alloc.clone();
+                for (k, &bit) in instr_order.iter().enumerate() {
+                    vars[bit] = alloc[k];
                 }
+                vars
             })
             .collect();
         let mut assumption = Bdd::TRUE;

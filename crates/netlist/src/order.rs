@@ -38,8 +38,7 @@ const MAX_PASSES: usize = 48;
 const STALL_LIMIT: usize = 4;
 
 /// The result of a FORCE ordering run: per-port bit orders plus the span
-/// trajectory, so callers (and the `exp_static_order` experiment) can report
-/// how much the arrangement improved.
+/// trajectory, so callers can report how much the arrangement improved.
 #[derive(Clone, Debug)]
 pub struct OrderReport {
     /// For each primary input port, the port's bit indices in suggested
