@@ -1,7 +1,7 @@
-//! The **content-addressed artifact cache** of the verification service:
-//! verification results (and the artifacts behind them) stored on disk under
-//! a key derived from everything that determines them, so a warm re-run of an
-//! unchanged job is a file read instead of a symbolic-simulation campaign.
+//! The **content-addressed report cache** of the verification service:
+//! verification reports stored on disk under a key derived from everything
+//! that determines them, so a warm re-run of an unchanged job is a file read
+//! instead of a symbolic-simulation campaign.
 //!
 //! # Key derivation
 //!
@@ -26,22 +26,24 @@
 //!
 //! # On-disk layout
 //!
-//! One artifact per file, named `<16-hex-key>.<kind extension>` inside the
-//! cache directory (`--cache-dir`, else `PV_CACHE_DIR`, else `.pv-cache`).
-//! Writes go through a temporary file and an atomic rename, so a crashed or
-//! concurrent writer never leaves a torn artifact behind.
+//! One [`crate::FlowReport`] per file, in the JSON shape of
+//! [`crate::report_io`], named `<16-hex-key>.report.json` inside the cache
+//! directory (`--cache-dir`, else `PV_CACHE_DIR`, else `.pv-cache`). Nothing
+//! else is stored: the netlist exports are key material only. Writes go
+//! through a temporary file and an atomic rename, so a crashed or concurrent
+//! writer never leaves a torn entry behind.
 //!
 //! ```
-//! use pipeverify_core::cache::{content_key, ArtifactCache, ArtifactKind};
+//! use pipeverify_core::cache::{content_key, ArtifactCache};
 //!
 //! let dir = std::env::temp_dir().join(format!("pv-cache-doc-{}", std::process::id()));
 //! let cache = ArtifactCache::at(&dir);
 //!
 //! let key = content_key(["beta-relation", "<netlist export>", "r 0 0"]);
-//! assert_eq!(cache.load(ArtifactKind::Report, key), None); // cold
+//! assert_eq!(cache.load(key), None); // cold
 //!
-//! cache.store(ArtifactKind::Report, key, "{\"equivalent\":true}").unwrap();
-//! let warm = cache.load(ArtifactKind::Report, key); // warm: a file read
+//! cache.store(key, "{\"equivalent\":true}").unwrap();
+//! let warm = cache.load(key); // warm: a file read
 //! assert_eq!(warm.as_deref(), Some("{\"equivalent\":true}"));
 //!
 //! // A different part sequence — say, one seeded bug changing a netlist
@@ -58,26 +60,24 @@ use std::path::{Path, PathBuf};
 use pv_netlist::export::fnv1a64;
 use pv_obs::Counter;
 
-/// Cache traffic metrics: artifact reads that were served (`cache.hit`),
-/// absent (`cache.miss`), and present-but-unreadable (`cache.corrupt` —
-/// which the caller must treat as a miss, never as a failure).
-static M_CACHE_HIT: Counter = Counter::new("cache.hit");
-static M_CACHE_MISS: Counter = Counter::new("cache.miss");
+/// Entries that were present but unreadable or undecodable — which the
+/// caller must treat as a miss, never as a failure. The crash-consistency
+/// canary: a soak that never tears an entry leaves it at zero. Hits and
+/// misses are counted per flow run by the service (`server.cache.*`).
 static M_CACHE_CORRUPT: Counter = Counter::new("cache.corrupt");
 
 /// Engine epoch folded into every [`content_key`]. Bump when a change to the
 /// verification engines alters report contents for identical inputs — every
-/// cached artifact from earlier epochs then misses, instead of serving stale
+/// cached report from earlier epochs then misses, instead of serving stale
 /// results.
 ///
 /// Epoch 2: reports embed a deterministic `metrics` snapshot
 /// ([`crate::FlowReport::metrics`]), changing report bytes for identical
 /// inputs.
 ///
-/// Epoch 3: the BDD engine switched to complemented edges and the `.pvdd`
-/// store format moved to version 2 (`pv_bdd::store::FORMAT_VERSION`).
-/// Pre-complement artifacts are unreadable by the new importer, so the epoch
-/// bump retires them as clean cache misses rather than decode errors.
+/// Epoch 3: the BDD engine switched to complemented edges. The bump retired
+/// every artifact written by the pre-complement engine as a clean cache miss
+/// rather than a decode error.
 ///
 /// Epoch 4: dynamic variable reordering was removed, and with it the
 /// `bdd_reorders`, `bdd_reorder_swaps` and `bdd_reorder_time_ns` fields of
@@ -91,7 +91,7 @@ pub const PV_CACHE_DIR: &str = "PV_CACHE_DIR";
 /// Default cache directory, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = ".pv-cache";
 
-/// A 64-bit content hash identifying one cached artifact.
+/// A 64-bit content hash identifying one cached report.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CacheKey(pub u64);
 
@@ -118,29 +118,10 @@ where
     CacheKey(fnv1a64(material.as_bytes()))
 }
 
-/// What kind of artifact a cache entry holds (determines the file extension).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ArtifactKind {
-    /// A [`crate::FlowReport`] in the JSON shape of [`crate::report_io`].
-    Report,
-    /// A netlist in the text format of [`pv_netlist::export`].
-    Netlist,
-    /// A BDD store (reached-state sets and friends) in the text format of
-    /// `pv_bdd::store`.
-    BddStore,
-}
+/// File-name extension of every cache entry.
+const EXTENSION: &str = "report.json";
 
-impl ArtifactKind {
-    fn extension(self) -> &'static str {
-        match self {
-            ArtifactKind::Report => "report.json",
-            ArtifactKind::Netlist => "netlist",
-            ArtifactKind::BddStore => "bdd",
-        }
-    }
-}
-
-/// A directory of content-addressed artifacts.
+/// A directory of content-addressed reports.
 ///
 /// Cheap to construct — the directory is created lazily on the first
 /// [`store`](Self::store) — and safe to share across threads by cloning (it
@@ -171,24 +152,19 @@ impl ArtifactCache {
         &self.dir
     }
 
-    fn path(&self, kind: ArtifactKind, key: CacheKey) -> PathBuf {
-        self.dir.join(format!("{key}.{}", kind.extension()))
+    fn path(&self, key: CacheKey) -> PathBuf {
+        self.dir.join(format!("{key}.{EXTENSION}"))
     }
 
-    /// Loads the artifact stored under `key`, or `None` on a cache miss.
+    /// Loads the report text stored under `key`, or `None` on a cache miss.
     /// I/O errors other than "not found" also read as misses — a cache must
     /// never turn an unreadable file into a failed verification — but they
-    /// are distinguished on the `cache.corrupt` counter.
-    pub fn load(&self, kind: ArtifactKind, key: CacheKey) -> Option<String> {
-        match fs::read_to_string(self.path(kind, key)) {
-            Ok(text) => {
-                M_CACHE_HIT.incr();
-                Some(text)
-            }
+    /// tick the `cache.corrupt` counter.
+    pub fn load(&self, key: CacheKey) -> Option<String> {
+        match fs::read_to_string(self.path(key)) {
+            Ok(text) => Some(text),
             Err(e) => {
-                if e.kind() == io::ErrorKind::NotFound {
-                    M_CACHE_MISS.incr();
-                } else {
+                if e.kind() != io::ErrorKind::NotFound {
                     M_CACHE_CORRUPT.incr();
                 }
                 None
@@ -200,11 +176,11 @@ impl ArtifactCache {
     /// JSON, an older schema) on the `cache.corrupt` counter. Callers that
     /// parse what [`load`](Self::load) returns should call this when the
     /// parse fails and then treat the entry as a miss.
-    pub fn note_corrupt(&self, kind: ArtifactKind, key: CacheKey) {
+    pub fn note_corrupt(&self, key: CacheKey) {
         M_CACHE_CORRUPT.incr();
         eprintln!(
             "pv: cache entry {} unparseable, treating as a miss",
-            self.path(kind, key).display()
+            self.path(key).display()
         );
     }
 
@@ -215,22 +191,21 @@ impl ArtifactCache {
     /// Propagates I/O errors (unwritable directory, disk full, …) — callers
     /// typically log and continue, since a failed store only costs future
     /// warmth.
-    pub fn store(&self, kind: ArtifactKind, key: CacheKey, text: &str) -> io::Result<PathBuf> {
+    pub fn store(&self, key: CacheKey, text: &str) -> io::Result<PathBuf> {
         // Chaos site: a failing store must degrade to "runs stay cold", never
         // to a torn entry or a failed verification.
         if pv_obs::fail::failpoint("cache.store") {
             return Err(io::Error::other("injected cache-store failure"));
         }
         fs::create_dir_all(&self.dir)?;
-        let path = self.path(kind, key);
+        let path = self.path(key);
         // The temporary name carries both the pid and a process-wide sequence
         // number: two *threads* racing on one key must not share a tmp file,
         // or their interleaved writes could be renamed into a torn entry.
         static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = self.dir.join(format!(
-            ".{key}.{}.tmp-{}-{seq}",
-            kind.extension(),
+            ".{key}.{EXTENSION}.tmp-{}-{seq}",
             std::process::id()
         ));
         fs::write(&tmp, text)?;
@@ -257,28 +232,25 @@ mod tests {
     }
 
     #[test]
-    fn store_then_load_round_trips_per_kind() {
-        let dir = scratch("kinds");
+    fn store_then_load_round_trips() {
+        let dir = scratch("round-trip");
         let cache = ArtifactCache::at(&dir);
         let key = content_key(["k"]);
-        for kind in [
-            ArtifactKind::Report,
-            ArtifactKind::Netlist,
-            ArtifactKind::BddStore,
-        ] {
-            assert_eq!(cache.load(kind, key), None, "{kind:?} starts cold");
-            cache.store(kind, key, "payload").expect("store");
-            assert_eq!(cache.load(kind, key).as_deref(), Some("payload"));
-        }
-        // The three kinds do not collide even under one key.
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 3);
+        assert_eq!(cache.load(key), None, "starts cold");
+        cache.store(key, "payload").expect("store");
+        assert_eq!(cache.load(key).as_deref(), Some("payload"));
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [format!("{key}.report.json").as_str()]);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_directory_reads_as_cold() {
         let cache = ArtifactCache::at(scratch("never-created"));
-        assert_eq!(cache.load(ArtifactKind::Report, content_key(["k"])), None);
+        assert_eq!(cache.load(content_key(["k"])), None);
     }
 
     /// Crash consistency under contention: writers racing on one key must
@@ -298,9 +270,7 @@ mod tests {
                 let text = payload(writer);
                 scope.spawn(move || {
                     for _ in 0..50 {
-                        cache
-                            .store(ArtifactKind::Report, key, &text)
-                            .expect("store");
+                        cache.store(key, &text).expect("store");
                     }
                 });
             }
@@ -308,7 +278,7 @@ mod tests {
             scope.spawn(move || {
                 let complete: Vec<String> = (0..4).map(payload).collect();
                 for _ in 0..200 {
-                    if let Some(text) = reader_cache.load(ArtifactKind::Report, key) {
+                    if let Some(text) = reader_cache.load(key) {
                         assert!(
                             complete.contains(&text),
                             "a load observed a torn entry of {} bytes",

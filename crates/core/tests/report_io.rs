@@ -2,8 +2,8 @@
 //! encode → render → parse → decode must be **field-identical** for arbitrary
 //! reports, including full-range `u64` payloads and nested counterexamples.
 //!
-//! `FlowReport`/`PlanReport` deliberately do not implement `PartialEq` (they
-//! carry wall-clock durations), so field identity is checked the way the
+//! `FlowReport` deliberately does not implement `PartialEq` (it carries
+//! wall-clock durations), so field identity is checked the way the
 //! cache does: the deterministic JSON encoding of the decoded report must
 //! equal the original encoding byte-for-byte — plus spot checks on the fields
 //! where a codec bug could hide behind re-encoding symmetry.
@@ -12,12 +12,9 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use pipeverify_core::json::Json;
-use pipeverify_core::report_io::{
-    flow_report_from_json, flow_report_to_json, plan_report_from_json, plan_report_to_json,
-};
+use pipeverify_core::report_io::{flow_report_from_json, flow_report_to_json};
 use pipeverify_core::{
-    Counterexample, FlowCounterexample, FlowErrorKind, FlowReport, PlanReport, ReplayRecipe,
-    SimulationPlan, UnitFailure,
+    FlowCounterexample, FlowErrorKind, FlowReport, ReplayRecipe, SimulationPlan, UnitFailure,
 };
 use proptest::prelude::*;
 
@@ -91,13 +88,6 @@ fn arb_unit_failures() -> impl Strategy<Value = Vec<UnitFailure>> {
     })
 }
 
-fn arb_plan() -> impl Strategy<Value = SimulationPlan> {
-    proptest::collection::vec(0..4usize, 1..6).prop_map(|tokens| {
-        let text: Vec<&str> = tokens.iter().map(|&t| ["r", "0", "1", "i"][t]).collect();
-        text.join("\n").parse().expect("valid plan tokens")
-    })
-}
-
 fn arb_flow_report() -> impl Strategy<Value = FlowReport> {
     (
         (
@@ -145,49 +135,6 @@ fn arb_flow_report() -> impl Strategy<Value = FlowReport> {
         )
 }
 
-fn arb_plan_report() -> impl Strategy<Value = PlanReport> {
-    (
-        (
-            arb_plan(),
-            (0usize..32),
-            proptest::collection::vec(any::<usize>(), 6),
-        ),
-        proptest::option::of((
-            arb_plan(),
-            proptest::collection::vec(any::<u64>(), 1..5),
-            arb_recipe(),
-        )),
-        (any::<u64>(), arb_metrics()),
-    )
-        .prop_map(
-            |((plan, index, stats), cex, (wall_ns, metrics))| PlanReport {
-                plan,
-                plan_index: index,
-                samples_compared: stats[0] % 1000,
-                pipelined_cycles: stats[1] % 1000,
-                unpipelined_cycles: stats[2] % 1000,
-                bdd_nodes: stats[3] % 1_000_000,
-                bdd_peak_live: stats[4] % 1_000_000,
-                bdd_vars: stats[5] % 10_000,
-                filters: ("beta".to_owned(), "dynamic-beta".to_owned()),
-                counterexample: cex.map(|(plan, instrs, replay)| {
-                    let slot = instrs.len() - 1;
-                    Counterexample {
-                        plan,
-                        slot_instructions: instrs,
-                        slot,
-                        variable: "regfile".to_owned(),
-                        pipelined_value: replay.pipelined_value,
-                        unpipelined_value: replay.unpipelined_value,
-                        replay,
-                    }
-                }),
-                wall_time: Duration::from_nanos(wall_ns),
-                metrics,
-            },
-        )
-}
-
 proptest! {
     /// FlowReport: encode → text → parse → decode → re-encode is the
     /// identity on the encoding, and the decoded fields match the originals.
@@ -213,24 +160,6 @@ proptest! {
         prop_assert_eq!(decoded.unit_walls, report.unit_walls);
         prop_assert_eq!(decoded.metrics, report.metrics);
         prop_assert_eq!(decoded.unit_failures, report.unit_failures);
-    }
-
-    /// PlanReport: same round trip, including the β-relation's structured
-    /// counterexample and the plan's text rendering.
-    #[test]
-    fn plan_report_round_trips(report in arb_plan_report()) {
-        let json = plan_report_to_json(&report);
-        let text = json.render();
-        let parsed = Json::parse(&text).expect("rendered JSON parses");
-        let decoded = plan_report_from_json(&parsed).expect("well-formed report");
-
-        prop_assert_eq!(plan_report_to_json(&decoded), json);
-        prop_assert_eq!(decoded.plan, report.plan);
-        prop_assert_eq!(decoded.plan_index, report.plan_index);
-        prop_assert_eq!(decoded.counterexample, report.counterexample);
-        prop_assert_eq!(decoded.wall_time, report.wall_time);
-        prop_assert_eq!(decoded.filters, report.filters);
-        prop_assert_eq!(decoded.metrics, report.metrics);
     }
 }
 
@@ -264,8 +193,8 @@ fn unknown_labels_are_rejected() {
     assert!(flow_report_from_json(&report).is_err());
 }
 
-/// A real plan report carries the per-operator computed-table counters,
-/// and they survive the round trip like every other metric.
+/// A real β-relation report carries the per-operator computed-table
+/// counters, and they survive the round trip like every other metric.
 #[test]
 fn a_checked_plan_reports_constrain_traffic_and_round_trips() {
     use pipeverify_core::{MachineSpec, Verifier};
@@ -274,20 +203,21 @@ fn a_checked_plan_reports_constrain_traffic_and_round_trips() {
     let pipelined = vsm::pipelined(VsmConfig::reduced(2)).expect("build pipelined");
     let unpipelined = vsm::unpipelined(VsmConfig::reduced(2)).expect("build unpipelined");
     let report = Verifier::new(MachineSpec::vsm_reduced(2))
-        .check_plan(
+        .verify_plans(
             &pipelined,
             &unpipelined,
-            &SimulationPlan::with_control_at(2, 0),
+            &[SimulationPlan::with_control_at(2, 0)],
         )
-        .expect("check");
+        .expect("check")
+        .to_flow_report(Duration::ZERO);
     let misses = report.metrics["bdd.constrain.cache_miss"];
     let hits = report.metrics["bdd.constrain.cache_hit"];
     assert!(misses > 0, "the class constraint cofactors every state bit");
     assert!(hits > 0, "bits and cycles share constrain subproblems");
 
-    let json = plan_report_to_json(&report);
+    let json = flow_report_to_json(&report);
     let parsed = Json::parse(&json.render()).expect("rendered JSON parses");
-    let decoded = plan_report_from_json(&parsed).expect("well-formed report");
+    let decoded = flow_report_from_json(&parsed).expect("well-formed report");
     assert_eq!(decoded.metrics, report.metrics);
-    assert_eq!(plan_report_to_json(&decoded), json);
+    assert_eq!(flow_report_to_json(&decoded), json);
 }

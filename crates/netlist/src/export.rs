@@ -1,12 +1,12 @@
 //! Deterministic text **export/import** of a finished [`Netlist`], and the
-//! FNV-1a content hash derived from it.
+//! FNV-1a hash primitive of the workspace's cache keys.
 //!
 //! The export is a pure function of the netlist: same design, same bytes.
-//! That makes the text do double duty — it is both the on-disk artifact
-//! format of the verification service's cache (a cached report can always be
-//! traced back to the exact gate graph it was computed from) and the raw
-//! material of [`Netlist::content_hash`], the design component of a cache
-//! key.
+//! That makes it the design component of the verification service's cache
+//! key — any gate, register, port or pipeline-hint change changes the key.
+//! The export is never stored; [`import`] exists to prove it lossless, so
+//! that two designs with one export are the same design and cannot share a
+//! stale cached report.
 //!
 //! ```text
 //! .pvnet 1                      header: format name + version
@@ -33,7 +33,7 @@
 //! Gate operands always reference earlier node lines (the builder only ever
 //! wires existing nets), register next-state nets may reference any node, and
 //! the pipeline hints are exported in full — a seeded bug that changes only a
-//! hint (say, an inverted stall gate) therefore changes the hash too.
+//! hint (say, an inverted stall gate) therefore changes the export too.
 //!
 //! Round trip:
 //!
@@ -52,7 +52,7 @@
 //!
 //! let text = export::export(&netlist);
 //! let rebuilt = export::import(&text).expect("well-formed export");
-//! assert_eq!(netlist.content_hash(), rebuilt.content_hash());
+//! assert_eq!(export::export(&rebuilt), text);
 //!
 //! // The rebuilt netlist behaves identically.
 //! let mut sim = ConcreteSim::new(&rebuilt);
@@ -71,8 +71,8 @@ pub const FORMAT_VERSION: u32 = 1;
 
 /// 64-bit FNV-1a hash — the workspace's content-hash primitive.
 ///
-/// Small, dependency-free and stable across platforms and releases; used for
-/// [`Netlist::content_hash`] and (in `pipeverify-core`) for cache keys.
+/// Small, dependency-free and stable across platforms and releases; used (in
+/// `pipeverify-core`) for cache keys.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -191,7 +191,7 @@ pub fn export(netlist: &Netlist) -> String {
 ///
 /// The rebuilt [`Netlist`] is structurally identical to the exported one:
 /// same node graph, registers, ports and pipeline hints, and therefore the
-/// same [`Netlist::content_hash`] and the same behaviour under
+/// same [`export`] text and the same behaviour under
 /// [`crate::ConcreteSim`]/[`crate::SymbolicSim`].
 ///
 /// # Errors
@@ -479,17 +479,6 @@ pub fn import(text: &str) -> Result<Netlist, ImportError> {
     })
 }
 
-impl Netlist {
-    /// FNV-1a 64-bit hash of the deterministic [`export`] text: a stable
-    /// fingerprint of the full design — gate graph, registers, ports and
-    /// pipeline hints. Two netlists hash equal iff their exports are
-    /// byte-identical, which the builders guarantee for identical build
-    /// sequences.
-    pub fn content_hash(&self) -> u64 {
-        fnv1a64(export(self).as_bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,7 +504,6 @@ mod tests {
         assert_eq!(a, b);
         let back = import(&a).expect("round trip");
         assert_eq!(export(&back), a);
-        assert_eq!(back.content_hash(), nl.content_hash());
         assert_eq!(back.name(), nl.name());
         assert_eq!(back.inputs(), nl.inputs());
         assert_eq!(back.outputs(), nl.outputs());
@@ -547,11 +535,30 @@ mod tests {
         );
     }
 
+    /// The export is the design part of every cache key, so each pipeline
+    /// hint must reach it on its own: a hint the export dropped would let a
+    /// hint-only design change hit a stale report.
     #[test]
-    fn hash_is_sensitive_to_hints() {
-        let mut a = counter();
-        let h = a.content_hash();
-        a.hints.stall_inverted = true;
-        assert_ne!(a.content_hash(), h, "hint changes must change the hash");
+    fn export_is_sensitive_to_every_hint() {
+        type Edit = fn(&mut PipelineHints);
+        let base = export(&counter());
+        let edits: [(&str, Edit); 9] = [
+            ("stall_port", |h| h.stall_port = Some("stall".to_owned())),
+            ("stage_valids", |h| {
+                h.stage_valids = vec!["count".to_owned()]
+            }),
+            ("forward_paths", |h| h.forward_paths += 1),
+            ("built_forward_paths", |h| h.built_forward_paths += 1),
+            ("stall_gates", |h| h.stall_gates += 1),
+            ("stall_inverted", |h| h.stall_inverted = !h.stall_inverted),
+            ("annul_gates", |h| h.annul_gates += 1),
+            ("delay_slots", |h| h.delay_slots = Some(1)),
+            ("branch_base_offset", |h| h.branch_base_offset = Some(1)),
+        ];
+        for (field, edit) in edits {
+            let mut nl = counter();
+            edit(&mut nl.hints);
+            assert_ne!(export(&nl), base, "`{field}` must change the export");
+        }
     }
 }

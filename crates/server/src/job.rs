@@ -5,10 +5,10 @@
 //!
 //! A cold job elaborates the design pair, runs every requested flow (each
 //! with its inner worker pool pinned to one thread — parallelism lives at the
-//! job level, see [`crate::sched`]) and stores three artifacts per flow run:
-//! the [`FlowReport`] JSON, and the deterministic netlist exports of both
-//! designs (under their own content hashes). A warm job loads and decodes the
-//! stored report — a file read — and marks the result `cached: true`.
+//! job level, see [`crate::sched`]) and stores one entry per flow run: the
+//! [`FlowReport`] JSON under the flow's cache key. A warm job loads and
+//! decodes the stored report — a file read — and marks the result
+//! `cached: true`.
 //!
 //! # Cache-key derivation
 //!
@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pv_obs::Counter;
 
-use pipeverify_core::cache::{content_key, ArtifactCache, ArtifactKind, CacheKey};
+use pipeverify_core::cache::{content_key, ArtifactCache, CacheKey};
 use pipeverify_core::json::Json;
 use pipeverify_core::report_io;
 use pipeverify_core::{Budget, FlowReport, MachineSpec, VerificationFlow, Verifier};
@@ -55,8 +55,7 @@ pub const PV_NODE_BUDGET: &str = "PV_NODE_BUDGET";
 
 /// Flow-run cache traffic at the service level — the `JobRunner`'s own
 /// per-instance counters mirrored into the registry, where a profile sees
-/// them next to the file-level `cache.*` counters of
-/// [`pipeverify_core::cache`].
+/// them next to the `cache.corrupt` counter of [`pipeverify_core::cache`].
 static M_SERVER_CACHE_HIT: Counter = Counter::new("server.cache.hit");
 static M_SERVER_CACHE_MISS: Counter = Counter::new("server.cache.miss");
 
@@ -190,10 +189,7 @@ impl JobRunner {
             // the design pair's — caching it would poison warm runs that
             // carry a bigger budget, so only complete reports are stored.
             if report.unit_failures.is_empty() {
-                self.store_artifacts(key, &report, &pipelined, &pipelined_export);
-                if flow == FlowKind::Beta {
-                    self.store_netlist(&unpipelined, &unpipelined_export);
-                }
+                self.store_report(key, &report);
             }
             results.push(FlowResult {
                 flow: report.flow,
@@ -209,7 +205,7 @@ impl JobRunner {
 
     fn load_report(&self, key: CacheKey) -> Option<FlowReport> {
         let cache = self.cache.as_ref()?;
-        let text = cache.load(ArtifactKind::Report, key)?;
+        let text = cache.load(key)?;
         // A corrupt or older-format entry reads as a miss and is rewritten —
         // but it ticks `cache.corrupt`, so a soak can prove no entry was
         // ever torn (a crash-consistency canary, not just a warmth loss).
@@ -217,36 +213,16 @@ impl JobRunner {
             .ok()
             .and_then(|json| report_io::flow_report_from_json(&json).ok());
         if report.is_none() {
-            cache.note_corrupt(ArtifactKind::Report, key);
+            cache.note_corrupt(key);
         }
         report
     }
 
-    fn store_artifacts(
-        &self,
-        key: CacheKey,
-        report: &FlowReport,
-        pipelined: &Netlist,
-        pipelined_export: &str,
-    ) {
+    fn store_report(&self, key: CacheKey, report: &FlowReport) {
         let Some(cache) = &self.cache else { return };
         let text = report_io::flow_report_to_json(report).render();
-        if let Err(e) = cache.store(ArtifactKind::Report, key, &text) {
+        if let Err(e) = cache.store(key, &text) {
             eprintln!("pv: cache store failed for {key}: {e} (continuing uncached)");
-        }
-        self.store_netlist_export(cache, pipelined, pipelined_export);
-    }
-
-    fn store_netlist(&self, netlist: &Netlist, text: &str) {
-        if let Some(cache) = &self.cache {
-            self.store_netlist_export(cache, netlist, text);
-        }
-    }
-
-    fn store_netlist_export(&self, cache: &ArtifactCache, netlist: &Netlist, text: &str) {
-        let key = CacheKey(netlist.content_hash());
-        if cache.load(ArtifactKind::Netlist, key).is_none() {
-            cache.store(ArtifactKind::Netlist, key, text).ok();
         }
     }
 }

@@ -25,7 +25,7 @@
 //! The `pv` binary fronts all of it: `pv serve` listens on a socket,
 //! `pv batch` drives a JSONL job file in-process, `pv soak` floods an
 //! in-process server and checks that nothing is dropped and memory stays
-//! bounded. See `docs/PROTOCOL.md` for the complete wire and artifact
+//! bounded. See `docs/PROTOCOL.md` for the complete wire and cache
 //! formats, and `README.md` § "The verification service" for a quickstart.
 //!
 //! [`FlowReport`]: pipeverify_core::FlowReport

@@ -8,7 +8,7 @@
 //! runs produce field-identical reports" is checked on reports whose verdicts
 //! are themselves already under test.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use pipeverify_core::cache::ArtifactCache;
 use pv_bench::matrix::{cell_bugs, smoke_configs};
@@ -47,6 +47,21 @@ fn smoke_jobs() -> Vec<JobRequest> {
     jobs
 }
 
+/// The file names in the cache directory, sorted.
+fn entries(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("cache dir exists")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
 fn run_all(runner: &JobRunner, jobs: &[JobRequest]) -> Vec<String> {
     sched::run_jobs(runner, jobs, 2, |_, _| {})
         .into_iter()
@@ -70,10 +85,24 @@ fn warm_runs_replay_cold_reports_field_identically() {
     assert_eq!(cold_runner.cache_hits(), 0, "first run is entirely cold");
     assert_eq!(cold_runner.cache_misses(), 2 * jobs.len());
 
+    // The cache holds one report per flow run and nothing else.
+    let stored = entries(&dir);
+    assert_eq!(stored.len(), 2 * jobs.len(), "one entry per flow run");
+    for name in &stored {
+        let key = name
+            .strip_suffix(".report.json")
+            .unwrap_or_else(|| panic!("`{name}` is not a report entry"));
+        assert!(
+            key.len() == 16 && key.chars().all(|c| c.is_ascii_hexdigit()),
+            "`{name}` is not named by a 16-hex-digit key"
+        );
+    }
+
     let warm_runner = JobRunner::new(Some(ArtifactCache::at(&dir)));
     let warm = run_all(&warm_runner, &jobs);
     assert_eq!(warm_runner.cache_misses(), 0, "second run is entirely warm");
     assert_eq!(warm_runner.cache_hits(), 2 * jobs.len());
+    assert_eq!(entries(&dir), stored, "a warm run stores nothing");
 
     // Byte-identical response lines — except the `cached` flags, which are
     // the one field that *must* differ. Strip them and compare.
