@@ -27,11 +27,11 @@ static M_GC_RUNS: Counter = Counter::new("bdd.gc.runs");
 static M_GC_COLLECTED: Counter = Counter::new("bdd.gc.collected");
 static M_PEAK_LIVE: Gauge = Gauge::new("bdd.unique.peak_live");
 
-/// Default live-node count above which [`BddManager::maybe_gc`] collects.
+/// Live-node count above which [`BddManager::maybe_gc`] first collects.
 /// This is the *floor*: after each collection the effective trigger is
 /// re-derived as `max(floor, 2 × live)`, so mostly-live workloads wait for
 /// the table to double rather than thrash.
-const DEFAULT_GC_THRESHOLD: usize = 1 << 20;
+const GC_FLOOR: usize = 1 << 20;
 
 /// The budget is consulted on the ITE cache-miss path only once per this
 /// many misses (a power of two; the check is a tick-counter mask). A miss
@@ -216,9 +216,6 @@ pub struct BddManager {
     free_count: usize,
     /// Registered GC roots with reference counts.
     roots: FxMap<Bdd, usize>,
-    /// Configured floor for the collection trigger (see
-    /// [`set_gc_threshold`](Self::set_gc_threshold)).
-    gc_floor: usize,
     /// Current live-node count above which [`maybe_gc`](Self::maybe_gc)
     /// collects; re-derived from the live set after every collection.
     gc_threshold: usize,
@@ -292,8 +289,7 @@ impl BddManager {
             free_head: FREE_NIL,
             free_count: 0,
             roots: FxMap::default(),
-            gc_floor: DEFAULT_GC_THRESHOLD,
-            gc_threshold: DEFAULT_GC_THRESHOLD,
+            gc_threshold: GC_FLOOR,
             allocated: 2,
             peak_live: 2,
             gc_runs: 0,
@@ -828,15 +824,6 @@ impl BddManager {
         }
     }
 
-    /// Restriction by a whole cube of literals.
-    pub fn restrict_cube(&mut self, f: Bdd, assignment: &[(Var, bool)]) -> Bdd {
-        let mut acc = f;
-        for &(v, val) in assignment {
-            acc = self.restrict(acc, v, val);
-        }
-        acc
-    }
-
     /// Generalized cofactor (the *constrain* operator of Coudert, Berthet and
     /// Madre): a function that agrees with `f` everywhere `care` is true and
     /// is chosen to have a small BDD elsewhere.
@@ -1141,17 +1128,6 @@ impl BddManager {
         }
     }
 
-    /// Sets the floor for the live-node count above which
-    /// [`maybe_gc`](Self::maybe_gc) collects. After every collection the
-    /// effective trigger is re-derived as `max(floor, 2 × live)`, so a
-    /// mostly-live table does not thrash (the next collection waits for the
-    /// table to double) and the trigger falls back towards the floor as soon
-    /// as a collection reclaims the garbage.
-    pub fn set_gc_threshold(&mut self, nodes: usize) {
-        self.gc_floor = nodes.max(2);
-        self.gc_threshold = self.gc_floor;
-    }
-
     /// Collects garbage, keeping only nodes reachable from the registered
     /// roots (see [`add_root`](Self::add_root)).
     pub fn gc(&mut self) -> GcStats {
@@ -1159,8 +1135,11 @@ impl BddManager {
     }
 
     /// Collects garbage if the live-node count has passed the current
-    /// trigger (see [`set_gc_threshold`](Self::set_gc_threshold)), keeping
-    /// nodes reachable from the registered roots or from `extra_roots`.
+    /// trigger — `max(2^20, 2 × live)`, re-derived after every collection,
+    /// so a mostly-live table does not thrash (the next collection waits
+    /// for the table to double) and the trigger falls back towards the
+    /// floor as soon as a collection reclaims the garbage — keeping nodes
+    /// reachable from the registered roots or from `extra_roots`.
     /// Returns `None` when below the trigger.
     pub fn maybe_gc(&mut self, extra_roots: &[Bdd]) -> Option<GcStats> {
         // The per-cycle safe point doubles as the budget check point: the
@@ -1256,7 +1235,7 @@ impl BddManager {
         // a mostly-live table waits until it doubles (no thrashing), and the
         // trigger decays back towards the configured floor once the garbage
         // is gone.
-        self.gc_threshold = self.gc_floor.max(live.saturating_mul(2));
+        self.gc_threshold = GC_FLOOR.max(live.saturating_mul(2));
         self.gc_runs += 1;
         M_GC_RUNS.incr();
         M_GC_COLLECTED.add(collected as u64);
@@ -1417,63 +1396,6 @@ impl BddManager {
             stack.push(n.hi);
         }
         count + 2
-    }
-
-    /// Enumerates every satisfying total assignment of `f` over `vars`,
-    /// calling `visit` with each. Intended for small variable sets (tests and
-    /// counterexample expansion); the number of calls is exponential in
-    /// `vars.len()`. The assignment pairs are presented in variable order
-    /// (topmost first), which the enumeration needs to proceed top-down.
-    pub fn for_each_model<F: FnMut(&[(Var, bool)])>(&self, f: Bdd, vars: &[Var], mut visit: F) {
-        let mut sorted: Vec<Var> = vars.to_vec();
-        sorted.sort_unstable();
-        let mut assignment: Vec<(Var, bool)> = Vec::with_capacity(sorted.len());
-        self.for_each_model_rec(f, &sorted, &mut assignment, &mut visit);
-    }
-
-    fn for_each_model_rec<F: FnMut(&[(Var, bool)])>(
-        &self,
-        f: Bdd,
-        vars: &[Var],
-        assignment: &mut Vec<(Var, bool)>,
-        visit: &mut F,
-    ) {
-        if f.is_false() {
-            return;
-        }
-        if vars.is_empty() {
-            if f.is_true() {
-                visit(assignment);
-            }
-            return;
-        }
-        let v = vars[0];
-        for value in [false, true] {
-            let restricted = self.restrict_const(f, v, value);
-            assignment.push((v, value));
-            self.for_each_model_rec(restricted, &vars[1..], assignment, visit);
-            assignment.pop();
-        }
-    }
-
-    /// Non-mutating restriction used by model enumeration: only valid when the
-    /// restricted variable is at or above the root, which holds because
-    /// enumeration proceeds top-down in variable order and therefore never
-    /// needs to create nodes.
-    fn restrict_const(&self, f: Bdd, var: Var, value: bool) -> Bdd {
-        if f.is_const() {
-            return f;
-        }
-        let (v, lo, hi) = self.cofactors(f);
-        if v == var.0 {
-            if value {
-                hi
-            } else {
-                lo
-            }
-        } else {
-            f
-        }
     }
 
     /// Current statistics of the manager.
@@ -1669,9 +1591,6 @@ mod tests {
         assert!(model.iter().all(|&(_, val)| val));
         let nf = m.not(f);
         assert_eq!(m.sat_count(nf), 15.0);
-        let mut count = 0;
-        m.for_each_model(f, &v, |_| count += 1);
-        assert_eq!(count, 1);
     }
 
     #[test]
@@ -1764,11 +1683,11 @@ mod tests {
         let (mut m, v) = setup(8);
         let lits: Vec<Bdd> = v.iter().map(|&x| m.var(x)).collect();
         let _ = m.and_many(&lits);
-        m.set_gc_threshold(usize::MAX);
-        assert!(m.maybe_gc(&[]).is_none());
-        m.set_gc_threshold(2);
+        assert!(m.maybe_gc(&[]).is_none(), "below the 2^20 floor");
+        m.gc_threshold = 2;
         let stats = m.maybe_gc(&[]).expect("above threshold");
         assert_eq!(stats.live, 2);
+        assert_eq!(m.gc_threshold, GC_FLOOR, "re-derived from the floor");
     }
 
     #[test]

@@ -41,5 +41,5 @@ pub use fold::{check_nesting, fold, FoldReport, SpanRow};
 pub use metrics::{snapshot, Counter, Gauge, Histogram};
 pub use trace::{
     flush_thread, set_trace_enabled, span, take_events, trace_enabled, warn_once, SpanGuard,
-    TraceEvent, TraceKind, TRACE_ENV, TRACE_OUT_ENV,
+    TraceEvent, TraceKind, SINK_CAPACITY, TRACE_ENV, TRACE_OUT_ENV,
 };

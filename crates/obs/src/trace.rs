@@ -21,6 +21,11 @@
 //! ends, or on [`flush_thread`] — the worker pool flushes as each worker
 //! retires, so a [`take_events`] after a parallel region sees everything.
 //!
+//! The sink is a ring of [`SINK_CAPACITY`] events, so a long-running traced
+//! process that nothing drains (`PV_TRACE=1 pv serve`) stays in bounded
+//! memory: past the capacity the oldest events are dropped, and each drop
+//! ticks the `trace.dropped` counter.
+//!
 //! # Determinism
 //!
 //! Thread ids are small per-process ordinals and each event carries its
@@ -32,12 +37,12 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::metrics;
+use crate::metrics::{self, Counter};
 
 /// The environment variable that enables tracing (`1`/`true`/anything else
 /// non-empty and non-`0`/`false`).
@@ -52,6 +57,14 @@ const COMPILED: bool = cfg!(feature = "enabled");
 
 /// A thread buffer drains to the sink at this many events.
 const FLUSH_AT: usize = 8192;
+
+/// The most events the process-global sink holds between two
+/// [`take_events`] calls (about 6 MiB); older events are dropped first.
+/// A `pv trace` sweep records a few hundred.
+pub const SINK_CAPACITY: usize = 1 << 16;
+
+/// Events the full sink dropped (`trace.dropped`).
+static M_TRACE_DROPPED: Counter = Counter::new("trace.dropped");
 
 /// What one [`TraceEvent`] records.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -95,9 +108,9 @@ fn now_us() -> u64 {
     epoch().elapsed().as_micros() as u64
 }
 
-fn sink() -> &'static Mutex<Vec<TraceEvent>> {
-    static SINK: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(Vec::new()))
+fn sink() -> &'static Mutex<VecDeque<TraceEvent>> {
+    static SINK: OnceLock<Mutex<VecDeque<TraceEvent>>> = OnceLock::new();
+    SINK.get_or_init(|| Mutex::new(VecDeque::new()))
 }
 
 /// Is tracing currently on? One relaxed load on the steady state; the first
@@ -147,7 +160,12 @@ impl ThreadBuf {
             return;
         }
         let mut sink = sink().lock().expect("trace sink poisoned");
-        sink.append(&mut self.events);
+        sink.extend(self.events.drain(..));
+        let excess = sink.len().saturating_sub(SINK_CAPACITY);
+        if excess > 0 {
+            sink.drain(..excess);
+            M_TRACE_DROPPED.add(excess as u64);
+        }
     }
 }
 
@@ -241,6 +259,8 @@ pub fn flush_thread() {
 
 /// Drains every flushed event (plus the calling thread's buffer) and
 /// returns them merge-sorted by `(tid, seq)` — the canonical export order.
+/// At most [`SINK_CAPACITY`] of them: the `trace.dropped` counter says how
+/// many older ones the ring let go.
 ///
 /// Another thread's events are included only if that thread called
 /// [`flush_thread`] after recording them. Joining a thread is not enough:
@@ -254,7 +274,9 @@ pub fn take_events() -> Vec<TraceEvent> {
         return Vec::new();
     }
     flush_thread();
-    let mut events = std::mem::take(&mut *sink().lock().expect("trace sink poisoned"));
+    let mut events = Vec::from(std::mem::take(
+        &mut *sink().lock().expect("trace sink poisoned"),
+    ));
     events.sort_by_key(|a| (a.tid, a.seq));
     events
 }
@@ -362,6 +384,32 @@ mod tests {
         let mut sorted = order.clone();
         sorted.sort();
         assert_eq!(order, sorted, "export is (tid, seq)-sorted");
+    }
+
+    #[test]
+    fn the_sink_is_a_ring_that_counts_what_it_drops() {
+        let _serial = TEST_LOCK.lock().unwrap();
+        take_events();
+        let before = metrics::value("trace.dropped").unwrap_or(0);
+        set_trace_enabled(true);
+        drop(span("test.trace.ring.first"));
+        // Two events per span: 202 events past the capacity in all.
+        for _ in 0..SINK_CAPACITY / 2 + 100 {
+            drop(span("test.trace.ring"));
+        }
+        set_trace_enabled(false);
+        let events = take_events();
+        let dropped = metrics::value("trace.dropped").unwrap_or(0) - before;
+        assert_eq!(events.len(), SINK_CAPACITY, "the ring holds its capacity");
+        assert!(dropped >= 202, "every dropped event is counted ({dropped})");
+        // Other tests may trace concurrently while the switch is on; judge
+        // only this thread's spans.
+        assert!(
+            !events.iter().any(|e| e.name == "test.trace.ring.first"),
+            "the oldest events go first"
+        );
+        let newest = events.iter().rfind(|e| e.name == "test.trace.ring");
+        assert_eq!(newest.map(|e| e.kind), Some(TraceKind::Exit));
     }
 
     #[test]

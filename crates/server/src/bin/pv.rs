@@ -12,6 +12,7 @@
 //! See `docs/PROTOCOL.md` for the wire format and `README.md` for a
 //! quickstart.
 
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown as TcpShutdown, TcpStream};
 use std::os::unix::net::UnixStream;
@@ -29,7 +30,7 @@ use pv_isa::alpha0::Alpha0Config;
 use pv_proc::alpha0::{self, PipelineConfig};
 use pv_proc::family::{FamilyBug, FamilyConfig};
 use pv_server::{
-    job::JobRunner,
+    job::{cache_keys, JobRunner},
     protocol::{self, DesignSpec, FlowKind, JobRequest, PlanSet},
     sched,
     server::{self, BindAddr},
@@ -50,14 +51,16 @@ USAGE:
              in-process; one response line per input line, in input order, on
              stdout. Progress and cache statistics go to stderr.
     soak     Start an in-process server on a scratch socket, flood it with
-             --jobs jobs, and fail unless every job is answered and peak RSS
+             --jobs jobs, and fail unless every job is answered, each
+             distinct flow key ran the engine exactly once, and peak RSS
              stays under --rss-limit-mb. Writes a JSON summary line to stdout
              (and to --summary, when given).
     trace    Run a condensed-Alpha0 control-transfer sweep with span tracing
              force-enabled (no PV_TRACE needed) under a `trace.run` root span
              and write the trace to --out (default: PV_TRACE_OUT, else
-             pv-trace.jsonl). Defaults to 1 worker thread so every span nests
-             under the root; fold the file with pv-bench's `trace_report`.
+             pv-trace.jsonl); fails if the bounded trace sink dropped any
+             event. Defaults to 1 worker thread so every span nests under
+             the root; fold the file with pv-bench's `trace_report`.
 
 OPTIONS:
     --threads N       Worker threads (default: PV_THREADS, else all cores;
@@ -66,7 +69,8 @@ OPTIONS:
                       .pv-cache). The soak uses a scratch directory.
     --no-cache        Disable the artifact cache (every job runs cold).
     --allow-errors    (soak) Count error responses as answered instead of
-                      failing the run — for chaos soaks under PV_FAILPOINTS.
+                      failing the run, and let a key whose cache store failed
+                      run again — for chaos soaks under PV_FAILPOINTS.
 
 Jobs without explicit budget fields inherit PV_DEADLINE_MS / PV_NODE_BUDGET
 from the environment; budget-exhausted plans degrade the report (or fail the
@@ -296,15 +300,14 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
     );
     let started = Instant::now();
     let total = jobs.len();
-    let outcomes = sched::run_jobs(
-        &runner,
-        &jobs,
-        opts.threads,
-        |index, outcome| match outcome {
-            Ok(response) => eprintln!("pv: job {} done ({} of {total})", response.id, index + 1,),
+    let mut answered = 0;
+    let outcomes = sched::run_jobs(&runner, &jobs, opts.threads, |index, outcome| {
+        answered += 1;
+        match outcome {
+            Ok(response) => eprintln!("pv: job {} done ({answered} of {total})", response.id),
             Err(error) => eprintln!("pv: job {} failed: {error}", jobs[index].id),
-        },
-    );
+        }
+    });
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -440,6 +443,23 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
         cache_label(&cache),
     );
 
+    let requests: Vec<JobRequest> = (0..jobs as u64)
+        .map(|id| JobRequest {
+            id,
+            design: soak_design(id as usize),
+            flows: vec![FlowKind::Beta],
+            plans: PlanSet::Default,
+            deadline_ms: None,
+            node_budget: None,
+        })
+        .collect();
+    // Single-flight: each distinct flow key may reach the engine once.
+    let mut keys = HashSet::new();
+    for job in &requests {
+        keys.extend(cache_keys(job).map_err(|e| format!("soak job {}: {e}", job.id))?);
+    }
+    let distinct_keys = keys.len();
+
     let shutdown = AtomicBool::new(false);
     let started = Instant::now();
     let (received, error_lines) =
@@ -462,16 +482,8 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
 
             let reader = client.reader().map_err(|e| e.to_string())?;
             let writer = scope.spawn(move || -> std::io::Result<()> {
-                for id in 0..jobs as u64 {
-                    let job = JobRequest {
-                        id,
-                        design: soak_design(id as usize),
-                        flows: vec![FlowKind::Beta],
-                        plans: PlanSet::Default,
-                        deadline_ms: None,
-                        node_budget: None,
-                    };
-                    let line = protocol::request_to_json(&job).render();
+                for job in &requests {
+                    let line = protocol::request_to_json(job).render();
                     client.write_all(line.as_bytes())?;
                     client.write_all(b"\n")?;
                 }
@@ -533,7 +545,12 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
                 .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
                 .count()
         });
-    let ok = dropped == 0 && received.len() == jobs && rss_ok && stale_tmp == 0;
+    // One engine run per distinct key — unless the run is a chaos soak,
+    // where a failed cache store legitimately leaves a key to run again, or
+    // caching is off and every job runs cold by request.
+    let single_flight_ok =
+        allow_errors || cache.is_none() || runner.cache_misses() == distinct_keys;
+    let ok = dropped == 0 && received.len() == jobs && rss_ok && stale_tmp == 0 && single_flight_ok;
 
     let summary = Json::Obj(vec![
         ("jobs".to_owned(), Json::from_u64(jobs as u64)),
@@ -554,6 +571,10 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
         (
             "cache_misses".to_owned(),
             Json::from_u64(runner.cache_misses() as u64),
+        ),
+        (
+            "distinct_keys".to_owned(),
+            Json::from_u64(distinct_keys as u64),
         ),
         (
             "peak_rss_bytes".to_owned(),
@@ -586,8 +607,9 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
         Ok(ExitCode::SUCCESS)
     } else {
         eprintln!(
-            "pv: soak FAILED — {} of {jobs} answered ({dropped} dropped, {error_lines} errors, {stale_tmp} stale tmp files), RSS within limit: {rss_ok}",
+            "pv: soak FAILED — {} of {jobs} answered ({dropped} dropped, {error_lines} errors, {stale_tmp} stale tmp files), RSS within limit: {rss_ok}, {} engine runs for {distinct_keys} distinct keys",
             received.len(),
+            runner.cache_misses(),
         );
         Ok(ExitCode::FAILURE)
     }
@@ -647,8 +669,9 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
 
     let events =
         trace_io::export_to_path(&out).map_err(|e| format!("writing {}: {e}", out.display()))?;
+    let dropped = pv_obs::metrics::value("trace.dropped").unwrap_or(0);
     eprintln!(
-        "pv: traced a {TRACE_SWEEP_POSITIONS}-plan condensed-Alpha0 sweep in {:.3}s on {} worker thread{} — {} (equivalent: {}), {events} events to {}",
+        "pv: traced a {TRACE_SWEEP_POSITIONS}-plan condensed-Alpha0 sweep in {:.3}s on {} worker thread{} — {} (equivalent: {}), {events} events ({dropped} dropped) to {}",
         wall.as_secs_f64(),
         opts.threads,
         if opts.threads == 1 { "" } else { "s" },
@@ -658,6 +681,11 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
     );
     if !report.equivalent() {
         return Err("the traced sweep found a counterexample on a correct design".to_owned());
+    }
+    if dropped > 0 {
+        return Err(format!(
+            "the trace sink dropped {dropped} events: the written trace is incomplete"
+        ));
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -3,10 +3,12 @@
 //!
 //! # What a job costs, warm and cold
 //!
-//! A cold job elaborates the design pair, runs every requested flow (each
-//! with its inner worker pool pinned to one thread — parallelism lives at the
-//! job level, see [`crate::sched`]) and stores one entry per flow run: the
-//! [`FlowReport`] JSON under the flow's cache key. A warm job loads and
+//! Every job is prepared once, when it is admitted: the design pair is
+//! elaborated and exported and each requested flow's cache key derived. A
+//! cold job then runs every requested flow (each with its inner worker pool
+//! pinned to one thread — parallelism lives at the job level, see
+//! [`crate::sched`]) on the prepared pair and stores one entry per flow run:
+//! the [`FlowReport`] JSON under the flow's cache key. A warm job loads and
 //! decodes the stored report — a file read — and marks the result
 //! `cached: true`.
 //!
@@ -27,14 +29,18 @@
 //! seeded bug changes one pipelined export, hence that cell's keys — and no
 //! other cell's.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use pv_obs::Counter;
 
 use pipeverify_core::cache::{content_key, ArtifactCache, CacheKey};
 use pipeverify_core::json::Json;
 use pipeverify_core::report_io;
-use pipeverify_core::{Budget, FlowReport, MachineSpec, VerificationFlow, Verifier};
+use pipeverify_core::{
+    Budget, FlowReport, MachineSpec, SimulationPlan, VerificationFlow, Verifier,
+};
 use pv_flush::FlushVerifier;
 use pv_netlist::{export, Netlist};
 use pv_proc::family::FamilyConfig;
@@ -44,6 +50,7 @@ use pv_proc::{family, vsm};
 use crate::protocol::{
     DesignSpec, FlowKind, FlowResult, JobError, JobRequest, JobResponse, PlanSet,
 };
+use crate::sched::Ticket;
 
 /// Environment default for [`JobRequest::deadline_ms`] — applied when a job
 /// names no deadline of its own. Unset or unparsable means unlimited.
@@ -61,12 +68,81 @@ static M_SERVER_CACHE_MISS: Counter = Counter::new("server.cache.miss");
 
 /// Runs verification jobs against the engines, fronted by an optional
 /// artifact cache. Shared across worker threads by reference (the hit/miss
-/// counters are atomic).
+/// counters are atomic, the single-flight table is behind a lock).
 #[derive(Debug)]
 pub struct JobRunner {
     cache: Option<ArtifactCache>,
     hits: AtomicUsize,
     misses: AtomicUsize,
+    /// The single-flight table: for every key set a queued or running job
+    /// leads, the identical jobs admitted since, which wait for its result
+    /// (see [`crate::sched`]). It spans every connection and batch that
+    /// shares this runner.
+    pub(crate) in_flight: Mutex<HashMap<Box<[CacheKey]>, Vec<Ticket>>>,
+}
+
+/// A job made ready to run: the design pair elaborated and exported once,
+/// and the cache key of every requested flow.
+pub(crate) struct Prepared {
+    pipelined: Netlist,
+    unpipelined: Netlist,
+    verifier: Verifier,
+    plans: Vec<SimulationPlan>,
+    /// One key per entry of [`JobRequest::flows`], in request order.
+    pub(crate) keys: Box<[CacheKey]>,
+}
+
+/// Validates and elaborates `job`'s design pair and derives the cache key of
+/// every flow it requests.
+///
+/// # Errors
+/// An `invalid` [`JobError`] when the design parameters are out of range or
+/// elaboration fails.
+pub(crate) fn prepare(job: &JobRequest) -> Result<Prepared, JobError> {
+    validate_design(&job.design).map_err(JobError::invalid)?;
+    let (pipelined, unpipelined, spec) = elaborate(&job.design).map_err(JobError::invalid)?;
+    let verifier = Verifier::new(spec).with_threads(1);
+    let plans = match &job.plans {
+        PlanSet::Default => verifier.default_plans(),
+        PlanSet::Explicit(plans) => plans.clone(),
+    };
+
+    let pipelined_export = export::export(&pipelined);
+    let unpipelined_export = export::export(&unpipelined);
+    let keys = job
+        .flows
+        .iter()
+        .map(|flow| match flow {
+            FlowKind::Beta => {
+                let mut parts = vec![
+                    "beta-relation".to_owned(),
+                    spec_fingerprint(verifier.spec()),
+                ];
+                parts.extend(plans.iter().map(|p| p.to_string()));
+                parts.push(pipelined_export.clone());
+                parts.push(unpipelined_export.clone());
+                content_key(&parts)
+            }
+            FlowKind::Flushing => content_key(["flushing".to_owned(), pipelined_export.clone()]),
+        })
+        .collect();
+    Ok(Prepared {
+        pipelined,
+        unpipelined,
+        verifier,
+        plans,
+        keys,
+    })
+}
+
+/// The cache key of every flow `job` requests, in request order — what the
+/// service stores the job's reports under, and what makes two jobs
+/// identical for single-flight coalescing.
+///
+/// # Errors
+/// As for a job whose design is invalid: an `invalid` [`JobError`].
+pub fn cache_keys(job: &JobRequest) -> Result<Vec<CacheKey>, JobError> {
+    prepare(job).map(|prepared| prepared.keys.into_vec())
 }
 
 impl JobRunner {
@@ -77,6 +153,7 @@ impl JobRunner {
             cache,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
+            in_flight: Mutex::new(HashMap::new()),
         }
     }
 
@@ -88,6 +165,11 @@ impl JobRunner {
     /// Flow runs that went to the engines so far.
     pub fn cache_misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Whether this runner has a cache to answer from and store into.
+    pub(crate) fn caches(&self) -> bool {
+        self.cache.is_some()
     }
 
     /// Runs one job: elaborates the design pair, then answers each requested
@@ -103,42 +185,33 @@ impl JobRunner {
     /// the worker; injected faults and genuine panics are caught one layer
     /// up, in [`crate::sched`].
     pub fn run(&self, job: &JobRequest) -> Result<JobResponse, JobError> {
-        // Chaos site: a worker exploding mid-job must surface as a
-        // `worker_panicked` error response for this job only.
-        pv_obs::fail::inject_panic("job.run");
-        validate_design(&job.design).map_err(JobError::invalid)?;
-        let (pipelined, unpipelined, spec) = elaborate(&job.design).map_err(JobError::invalid)?;
-        let mut verifier = Verifier::new(spec).with_threads(1);
-        if let Some(budget) = job_budget(job) {
-            verifier = verifier.with_budget(budget);
-        }
-        let plans = match &job.plans {
-            PlanSet::Default => verifier.default_plans(),
-            PlanSet::Explicit(plans) => plans.clone(),
-        };
+        let prepared = prepare(job)?;
+        let stored = self.lookup(&prepared);
+        self.execute(job, &prepared, stored)
+    }
 
-        let pipelined_export = export::export(&pipelined);
-        let unpipelined_export = export::export(&unpipelined);
+    /// The stored report of each of `prepared`'s keys, where the cache has
+    /// one.
+    pub(crate) fn lookup(&self, prepared: &Prepared) -> Vec<Option<FlowReport>> {
+        prepared
+            .keys
+            .iter()
+            .map(|&key| self.load_report(key))
+            .collect()
+    }
 
+    /// Answers each flow of a prepared job: from `stored` (a
+    /// [`lookup`](Self::lookup) result) where it holds the flow's report,
+    /// else from the engine, storing every complete report it computes.
+    pub(crate) fn execute(
+        &self,
+        job: &JobRequest,
+        prepared: &Prepared,
+        stored: Vec<Option<FlowReport>>,
+    ) -> Result<JobResponse, JobError> {
         let mut results = Vec::with_capacity(job.flows.len());
-        for &flow in &job.flows {
-            let key = match flow {
-                FlowKind::Beta => {
-                    let mut parts = vec![
-                        "beta-relation".to_owned(),
-                        spec_fingerprint(verifier.spec()),
-                    ];
-                    parts.extend(plans.iter().map(|p| p.to_string()));
-                    parts.push(pipelined_export.clone());
-                    parts.push(unpipelined_export.clone());
-                    content_key(&parts)
-                }
-                FlowKind::Flushing => {
-                    content_key(["flushing".to_owned(), pipelined_export.clone()])
-                }
-            };
-
-            if let Some(report) = self.load_report(key) {
+        for ((&flow, &key), stored) in job.flows.iter().zip(&*prepared.keys).zip(stored) {
+            if let Some(report) = stored {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 M_SERVER_CACHE_HIT.incr();
                 eprintln!(
@@ -155,13 +228,24 @@ impl JobRunner {
                 continue;
             }
 
+            // Chaos site: a worker exploding mid-job must surface as a
+            // `worker_panicked` error response for this job only.
+            pv_obs::fail::inject_panic("job.run");
             self.misses.fetch_add(1, Ordering::Relaxed);
             M_SERVER_CACHE_MISS.incr();
             let report = match flow {
                 FlowKind::Beta => {
                     let started = std::time::Instant::now();
+                    let budgeted;
+                    let verifier = match job_budget(job) {
+                        Some(budget) => {
+                            budgeted = prepared.verifier.clone().with_budget(budget);
+                            &budgeted
+                        }
+                        None => &prepared.verifier,
+                    };
                     let vreport = verifier
-                        .verify_plans(&pipelined, &unpipelined, &plans)
+                        .verify_plans(&prepared.pipelined, &prepared.unpipelined, &prepared.plans)
                         .map_err(|e| JobError::invalid(e.to_string()))?;
                     // Graceful degradation: a budget that starved *some*
                     // plans still answers `ok` with the per-plan failures in
@@ -176,10 +260,10 @@ impl JobRunner {
                     }
                     vreport.to_flow_report(started.elapsed())
                 }
-                FlowKind::Flushing => FlushVerifier::from_netlist(&pipelined)
+                FlowKind::Flushing => FlushVerifier::from_netlist(&prepared.pipelined)
                     .map_err(|e| JobError::invalid(e.to_string()))?
                     .with_threads(1)
-                    .verify_flow(&pipelined, &unpipelined)
+                    .verify_flow(&prepared.pipelined, &prepared.unpipelined)
                     .map_err(|e| JobError {
                         kind: e.kind,
                         message: e.to_string(),

@@ -14,13 +14,16 @@
 //!   [`ArtifactCache`](pipeverify_core::cache) first — a warm re-run of an
 //!   unchanged job is a file read, so re-verifying a family sweep with one
 //!   seeded bug changed only pays for the changed cells;
-//! * an **LPT scheduler** ([`sched`]): jobs sorted by a monotonic cost
-//!   estimate, longest first, fanned out on [`pipeverify_core::pool`] —
-//!   job-level parallelism (each flow runs its inner pool at one thread), so
-//!   a sweep saturates the workers without oversubscribing them;
-//! * a **server** ([`server`]): jobs over a Unix or TCP socket, answered in
-//!   arrival waves, draining and shutting down gracefully when the peer
-//!   closes its end.
+//! * a **continuous admission queue** ([`sched`]): each job is answered on
+//!   arrival when the cache holds all its reports, attached to an identical
+//!   job already in flight (single flight: one engine run per key set), or
+//!   queued by a monotonic cost estimate and claimed longest-first by
+//!   persistent workers — job-level parallelism (each flow runs its inner
+//!   pool at one thread), so a sweep saturates the workers without
+//!   oversubscribing them;
+//! * a **server** ([`server`]): jobs over a Unix or TCP socket, each
+//!   response written as soon as its job is answered, draining and shutting
+//!   down gracefully when the peer closes its end.
 //!
 //! The `pv` binary fronts all of it: `pv serve` listens on a socket,
 //! `pv batch` drives a JSONL job file in-process, `pv soak` floods an
@@ -50,7 +53,7 @@ static M_RSS_PEAK: pv_obs::Gauge = pv_obs::Gauge::new("server.rss_peak");
 
 /// Probes [`peak_rss_bytes`] and surfaces it as the `server.rss_peak` gauge
 /// (monotone: the gauge keeps the largest value ever recorded). Returns the
-/// probed value. The soak harness calls this after each wave, so a metrics
+/// probed value. The soak harness calls this after its stream, so a metrics
 /// snapshot shows the memory high-water mark next to the cache and scheduler
 /// counters.
 pub fn record_rss_peak() -> Option<u64> {

@@ -1,37 +1,59 @@
-//! **LPT batch scheduling** over the shared worker pool.
+//! **Continuous admission** onto persistent workers, in LPT order.
 //!
-//! A wave of jobs is sorted by descending [`cost_estimate`] and handed to
-//! [`pool::par_map`], whose workers claim items in order — which makes the
-//! claim sequence exactly the classic Longest-Processing-Time-first greedy
-//! assignment: whenever a worker frees up, it takes the most expensive job
-//! still unclaimed. LPT's makespan is within 4/3 of optimal, and for sweep
-//! workloads (a few deep-pipeline jobs among many shallow ones) it avoids
-//! the worst case of FIFO order: a depth-8 job claimed last, running alone
-//! while every other worker idles.
+//! Every job enters through `Queue::admit`, which prepares it once
+//! (elaboration, export and the cache key of each requested flow, see
+//! [`crate::job`]) and sends it down one of three paths:
 //!
-//! Each job's flows run with their *inner* pools pinned to one thread (see
-//! [`crate::job`]) — parallelism lives here, across jobs, so a sweep
-//! saturates the workers without oversubscribing the machine.
+//! * **All flows hit** the cache: the job is answered on the spot,
+//!   `cached: true`, without waiting for anything queued before it.
+//! * **An identical key set is already queued or running**: the job becomes
+//!   a *follower* in the [`JobRunner`]'s single-flight table, which spans
+//!   every connection and batch sharing the runner. When the leader
+//!   finishes, each follower is admitted again — and now answers from the
+//!   cache exactly as a hit would (byte-identical reports), unless the
+//!   leader stored nothing (a degraded budget report, an error, a failed
+//!   store), in which case one follower leads the next run.
+//! * **Otherwise** the job is queued in order of descending
+//!   [`cost_estimate`] (ties in admission order), so among queued jobs the
+//!   claim sequence is the classic Longest-Processing-Time-first greedy
+//!   assignment: whenever a worker frees up, it takes the most expensive job
+//!   still queued. LPT's makespan is within 4/3 of optimal, and for sweep
+//!   workloads (a few deep-pipeline jobs among many shallow ones) it avoids
+//!   the worst case of FIFO order: a depth-8 job claimed last, running alone
+//!   while every other worker idles.
+//!
+//! Without a cache nothing is shared: every job is queued and runs cold.
+//!
+//! Persistent workers (`Queue::run`) claim the queued jobs, run each with
+//! panic isolation and bounded retry, and hand each outcome to whoever
+//! submitted the job as soon as it is ready — a response never waits for a
+//! slower job.
+//!
+//! Each job's flows run with their *inner* pools pinned to one thread —
+//! parallelism lives here, across jobs, so a sweep saturates the workers
+//! without oversubscribing the machine.
 
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
+use std::sync::{mpsc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use pipeverify_core::pool;
-use pipeverify_core::FlowErrorKind;
+use pipeverify_core::{FlowErrorKind, FlowReport};
 use pv_obs::{Counter, Histogram};
 
-use crate::job::{cost_estimate, JobRunner};
+use crate::job::{cost_estimate, prepare, JobRunner, Prepared};
 use crate::protocol::{JobError, JobRequest, JobResponse};
 
-/// Per-job latency decomposition of a wave: time from wave submission to the
-/// worker claiming the job (queue wait — grows when a wave is wider than the
-/// pool) and time actually running it. Together they explain a slow wave:
-/// high queue wait means not enough workers, high run wall means an
-/// expensive job.
+/// Per-job latency decomposition: time from admission to a worker claiming
+/// the job (queue wait — grows when more work arrives than the pool can
+/// take) and time actually running it. Together they explain a slow
+/// response: high queue wait means not enough workers, high run wall means
+/// an expensive job.
 static M_JOB_QUEUE_WAIT: Histogram = Histogram::new("server.job.queue_wait_us");
 static M_JOB_RUN: Histogram = Histogram::new("server.job.run_us");
 
-/// Jobs re-run after a transient failure (`server.job.retry`). A wave that
+/// Jobs re-run after a transient failure (`server.job.retry`). A stream that
 /// finishes with retries but no errors means the retry policy absorbed a
 /// fault; a high rate means something is structurally wrong.
 static M_JOB_RETRY: Counter = Counter::new("server.job.retry");
@@ -39,23 +61,197 @@ static M_JOB_RETRY: Counter = Counter::new("server.job.retry");
 /// The outcome of one job: a response, or a structured job-level error.
 pub type JobOutcome = Result<JobResponse, JobError>;
 
+/// Where a job's outcome goes: called exactly once, on whichever thread
+/// answered the job (the admitting thread for cache hits and invalid jobs,
+/// a worker otherwise).
+pub(crate) type Reply = Box<dyn FnOnce(JobOutcome) + Send>;
+
 /// Total attempts per job: the first run plus up to two retries of
 /// *transient* failures (worker panics). Deterministic errors — invalid
 /// requests, budget exhaustion, cancellation — never retry.
 const MAX_ATTEMPTS: u32 = 3;
 
 /// Base backoff between retry attempts, scaled linearly by attempt number.
-/// Long enough to ride out a momentary glitch, short enough that a wave's
-/// makespan barely notices.
+/// Long enough to ride out a momentary glitch, short enough that the queue
+/// barely notices.
 const RETRY_BACKOFF: Duration = Duration::from_millis(25);
 
-/// Runs one job with panic isolation and bounded retry: a panicking worker
-/// is caught (the wave survives), classified, and — only when the failure is
-/// transient — retried with linear backoff. The last error wins.
-fn run_with_retry(runner: &JobRunner, job: &JobRequest) -> JobOutcome {
+/// An admitted job: the request, its prepared design pair, the reports the
+/// cache already held for it, and where its answer goes.
+pub(crate) struct Ticket {
+    job: JobRequest,
+    prepared: Prepared,
+    stored: Vec<Option<FlowReport>>,
+    reply: Reply,
+    admitted: Instant,
+}
+
+impl std::fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ticket").field("id", &self.job.id).finish()
+    }
+}
+
+/// The queued tickets, keyed so that the first entry is the most expensive
+/// (ties: the earliest admitted), and whether the queue has closed.
+#[derive(Default)]
+struct Pending {
+    queued: BTreeMap<(Reverse<u64>, u64), Ticket>,
+    next_seq: u64,
+    closed: bool,
+}
+
+/// The admission queue: the cost-ordered jobs that must run, drained by the
+/// workers of [`Queue::run`].
+#[derive(Default)]
+pub(crate) struct Queue {
+    pending: Mutex<Pending>,
+    ready: Condvar,
+}
+
+impl Queue {
+    /// Admits `job`: answers it on the spot (an invalid design, or every
+    /// flow already cached), attaches it to an identical in-flight job, or
+    /// queues it. `reply` receives the outcome exactly once.
+    pub(crate) fn admit(&self, runner: &JobRunner, job: JobRequest, reply: Reply) {
+        let admitted = Instant::now();
+        let prepared = match std::panic::catch_unwind(AssertUnwindSafe(|| prepare(&job))) {
+            Ok(Ok(prepared)) => prepared,
+            Ok(Err(error)) => return reply(Err(error)),
+            Err(payload) => {
+                let (kind, message) = FlowErrorKind::classify_panic(&*payload);
+                return reply(Err(JobError { kind, message }));
+            }
+        };
+        let ticket = Ticket {
+            job,
+            prepared,
+            stored: Vec::new(),
+            reply,
+            admitted,
+        };
+        if let Some(ticket) = claim(runner, ticket) {
+            self.push(ticket);
+        }
+    }
+
+    fn push(&self, ticket: Ticket) {
+        let mut pending = self.pending.lock().expect("queue lock poisoned");
+        let seq = pending.next_seq;
+        pending.next_seq += 1;
+        let cost = cost_estimate(&ticket.job);
+        pending.queued.insert((Reverse(cost), seq), ticket);
+        self.ready.notify_one();
+    }
+
+    /// The most expensive queued ticket; blocks while none is queued and
+    /// the queue open, and returns `None` once it is closed and drained.
+    fn pop(&self) -> Option<Ticket> {
+        let mut pending = self.pending.lock().expect("queue lock poisoned");
+        loop {
+            if let Some((_, ticket)) = pending.queued.pop_first() {
+                return Some(ticket);
+            }
+            if pending.closed {
+                return None;
+            }
+            pending = self.ready.wait(pending).expect("queue lock poisoned");
+        }
+    }
+
+    fn close(&self) {
+        self.pending.lock().expect("queue lock poisoned").closed = true;
+        self.ready.notify_all();
+    }
+
+    /// Runs `threads` workers on this queue while `body` runs on the calling
+    /// thread; when `body` returns (or unwinds) the queue closes, and the
+    /// workers finish every job still queued before this returns.
+    pub(crate) fn run<T>(&self, runner: &JobRunner, threads: usize, body: impl FnOnce() -> T) -> T {
+        struct CloseOnDrop<'q>(&'q Queue);
+        impl Drop for CloseOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.close();
+            }
+        }
+        std::thread::scope(|scope| {
+            for _ in 0..threads.max(1) {
+                scope.spawn(|| self.work(runner));
+            }
+            let _close = CloseOnDrop(self);
+            body()
+        })
+    }
+
+    /// One worker: claims jobs longest-first until the queue closes.
+    fn work(&self, runner: &JobRunner) {
+        while let Some(ticket) = self.pop() {
+            M_JOB_QUEUE_WAIT.record(ticket.admitted.elapsed().as_micros() as u64);
+            let outcome = {
+                let _span = pv_obs::span("server.job");
+                let claimed = Instant::now();
+                let outcome = run_with_retry(runner, &ticket);
+                M_JOB_RUN.record(claimed.elapsed().as_micros() as u64);
+                outcome
+            };
+            (ticket.reply)(outcome);
+            // The leader's reports are stored (or not) by now: every
+            // follower answers from the cache or leads the next run.
+            let followers = runner
+                .in_flight
+                .lock()
+                .expect("single-flight lock poisoned")
+                .remove(&ticket.prepared.keys)
+                .unwrap_or_default();
+            for follower in followers {
+                if let Some(ticket) = claim(runner, follower) {
+                    self.push(ticket);
+                }
+            }
+        }
+        // Deliver this worker's trace events before the scope joins it.
+        pv_obs::flush_thread();
+    }
+}
+
+/// The single-flight decision for one prepared ticket, made under the
+/// runner's single-flight lock so that it cannot race a leader finishing:
+/// attach to an in-flight identical key set, answer from the cache, or
+/// register as the leader. Returns the ticket when it must be queued.
+///
+/// A leader stores its reports before it leaves the table, so a ticket that
+/// finds no entry here also finds every report its leader stored.
+fn claim(runner: &JobRunner, mut ticket: Ticket) -> Option<Ticket> {
+    if !runner.caches() {
+        ticket.stored = runner.lookup(&ticket.prepared); // all `None`
+        return Some(ticket);
+    }
+    let mut in_flight = runner
+        .in_flight
+        .lock()
+        .expect("single-flight lock poisoned");
+    if let Some(followers) = in_flight.get_mut(&ticket.prepared.keys) {
+        followers.push(ticket);
+        return None;
+    }
+    ticket.stored = runner.lookup(&ticket.prepared);
+    if ticket.stored.iter().all(Option::is_some) {
+        drop(in_flight);
+        (ticket.reply)(runner.execute(&ticket.job, &ticket.prepared, ticket.stored));
+        return None;
+    }
+    in_flight.insert(ticket.prepared.keys.clone(), Vec::new());
+    Some(ticket)
+}
+
+/// Runs one ticket with panic isolation and bounded retry: a panicking
+/// worker is caught (the queue survives), classified, and — only when the
+/// failure is transient — retried with linear backoff. The last error wins.
+fn run_with_retry(runner: &JobRunner, ticket: &Ticket) -> JobOutcome {
     let mut last = None;
     for attempt in 1..=MAX_ATTEMPTS {
-        let error = match std::panic::catch_unwind(AssertUnwindSafe(|| runner.run(job))) {
+        let run = || runner.execute(&ticket.job, &ticket.prepared, ticket.stored.clone());
+        let error = match std::panic::catch_unwind(AssertUnwindSafe(run)) {
             Ok(Ok(response)) => return Ok(response),
             Ok(Err(error)) => error,
             Err(payload) => {
@@ -74,45 +270,44 @@ fn run_with_retry(runner: &JobRunner, job: &JobRequest) -> JobOutcome {
     Err(last.expect("the attempt loop runs at least once"))
 }
 
-/// Runs `jobs` on `threads` workers in LPT order and returns the outcomes in
-/// **input order** (the wire contract: responses carry ids, but `pv batch`
-/// also preserves order).
+/// Runs `jobs` on `threads` workers and returns the outcomes in **input
+/// order** (the `pv batch` contract). Every job is admitted before the
+/// workers start, so the claim order among the queued jobs is strictly
+/// LPT, and duplicates within `jobs` follow their first occurrence.
 ///
-/// `on_done` fires on the worker thread as each job finishes, with the job's
-/// input index — for progress logging; keep it cheap and non-blocking.
+/// `on_done` fires on the calling thread as each job is answered, with the
+/// job's input index — for progress logging.
 pub fn run_jobs<F>(
     runner: &JobRunner,
     jobs: &[JobRequest],
     threads: usize,
-    on_done: F,
+    mut on_done: F,
 ) -> Vec<JobOutcome>
 where
-    F: Fn(usize, &JobOutcome) + Sync,
+    F: FnMut(usize, &JobOutcome),
 {
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    // Descending cost; ties broken by input order so scheduling is
-    // deterministic and stable.
-    order.sort_by_key(|&i| (std::cmp::Reverse(cost_estimate(&jobs[i])), i));
-
-    let threads = threads.min(jobs.len().max(1));
-    let submitted = Instant::now();
-    let outcomes = pool::par_map(threads, &order, |_, &input_index| {
-        M_JOB_QUEUE_WAIT.record(submitted.elapsed().as_micros() as u64);
-        let _span = pv_obs::span("server.job");
-        let claimed = Instant::now();
-        let outcome = run_with_retry(runner, &jobs[input_index]);
-        M_JOB_RUN.record(claimed.elapsed().as_micros() as u64);
-        on_done(input_index, &outcome);
-        (input_index, outcome)
-    });
+    let queue = Queue::default();
+    let (tx, rx) = mpsc::channel();
+    for (index, job) in jobs.iter().enumerate() {
+        let tx = tx.clone();
+        let reply: Reply = Box::new(move |outcome| {
+            // The receiver outlives every ticket: `rx` drains to the end.
+            let _ = tx.send((index, outcome));
+        });
+        queue.admit(runner, job.clone(), reply);
+    }
+    drop(tx);
 
     let mut by_input: Vec<Option<JobOutcome>> = (0..jobs.len()).map(|_| None).collect();
-    for (input_index, outcome) in outcomes {
-        by_input[input_index] = Some(outcome);
-    }
+    queue.run(runner, threads.min(jobs.len().max(1)), || {
+        for (index, outcome) in rx {
+            on_done(index, &outcome);
+            by_input[index] = Some(outcome);
+        }
+    });
     by_input
         .into_iter()
-        .map(|o| o.expect("par_map returns one outcome per job"))
+        .map(|o| o.expect("every admitted job is answered"))
         .collect()
 }
 

@@ -1,20 +1,23 @@
 //! The **socket server**: line-delimited JSON jobs over a Unix or TCP
-//! stream, answered in arrival waves.
+//! stream, each answered as soon as it is done.
 //!
-//! # Wave scheduling
+//! # Admission
 //!
-//! A connection is served by two threads: a reader that decodes job lines
-//! into a channel, and the wave loop, which blocks for the first pending
-//! job, drains everything else that has already arrived, and runs the whole
-//! wave through the LPT scheduler ([`crate::sched`]). A lone interactive job
-//! therefore starts immediately, while a client that floods 200 jobs gets
-//! them scheduled longest-first across the worker pool — the two workload
-//! shapes need no configuration to coexist.
+//! A connection is served by two threads: a reader that decodes each job
+//! line and admits it to the server's one queue ([`crate::sched`]) the
+//! moment it arrives, and a writer that writes every response line as it
+//! comes back. A cache hit is answered at admission, a duplicate of a job
+//! already in flight waits for that job's result instead of re-running it,
+//! and everything else is claimed longest-first by the server's persistent
+//! workers, which every connection shares. A lone interactive job therefore
+//! starts immediately, a client that floods 200 jobs gets them scheduled
+//! longest-first, and no response waits for a slower job — responses come
+//! back in completion order, correlated by `id`.
 //!
 //! # Shutdown
 //!
 //! End-of-stream on the socket (the peer closed or half-closed its end) ends
-//! the reader; the wave loop then finishes every job already accepted,
+//! the reader; the connection then waits for every job already accepted,
 //! writes the remaining responses, and returns. Nothing queued is ever
 //! dropped — the soak harness (`pv soak`) asserts exactly this.
 
@@ -32,7 +35,7 @@ use pipeverify_core::FlowErrorKind;
 
 use crate::job::JobRunner;
 use crate::protocol::{self, JobRequest};
-use crate::sched;
+use crate::sched::{JobOutcome, Queue, Reply};
 
 /// Where the server listens (and clients connect): `unix:<path>` or
 /// `tcp:<host>:<port>`.
@@ -131,10 +134,11 @@ fn decode_line(line: &str) -> Incoming {
     }
 }
 
-/// Serves one connection: reads job lines until end-of-stream, runs them in
-/// arrival waves on `threads` workers, and writes one response line per job
-/// (in wave order; responses carry the request id). Returns once every
-/// accepted job has been answered — the graceful-shutdown contract.
+/// Serves one connection on its own queue: reads job lines until
+/// end-of-stream, runs them on `threads` workers, and writes one response
+/// line per job as soon as it is answered (responses carry the request id).
+/// Returns once every accepted job has been answered — the
+/// graceful-shutdown contract.
 ///
 /// # Errors
 /// Propagates write errors (a peer that vanished mid-response); read errors
@@ -149,10 +153,28 @@ where
     R: io::Read + Send,
     W: io::Write,
 {
-    let mut out = BufWriter::new(writer);
-    let mut stats = ConnectionStats { jobs: 0, errors: 0 };
-    let (tx, rx) = mpsc::channel::<Incoming>();
+    let queue = Queue::default();
+    queue.run(runner, threads, || {
+        connection(&queue, runner, reader, writer)
+    })
+}
 
+/// One connection over a shared `queue`: a reader thread decodes each line
+/// and admits it (malformed lines are answered on the spot), and this thread
+/// writes every response line as it arrives. The response channel closes
+/// when the reader has reached end-of-stream and every admitted job has
+/// been answered.
+fn connection<R, W>(
+    queue: &Queue,
+    runner: &JobRunner,
+    reader: R,
+    writer: W,
+) -> io::Result<ConnectionStats>
+where
+    R: io::Read + Send,
+    W: io::Write,
+{
+    let (tx, rx) = mpsc::channel::<(bool, String)>();
     std::thread::scope(|scope| {
         scope.spawn(move || {
             for line in BufReader::new(reader).lines() {
@@ -161,63 +183,59 @@ where
                 if line.is_empty() {
                     continue;
                 }
-                if tx.send(decode_line(line)).is_err() {
-                    break; // the wave loop died on a write error
+                match decode_line(line) {
+                    Incoming::Job(job) => {
+                        let (id, tx) = (job.id, tx.clone());
+                        let reply: Reply = Box::new(move |outcome| {
+                            let _ = tx.send(render(id, outcome));
+                        });
+                        queue.admit(runner, job, reply);
+                    }
+                    Incoming::Bad { id, error } => {
+                        let line = protocol::error_to_json(id, FlowErrorKind::Invalid, &error);
+                        let _ = tx.send((false, line.render()));
+                    }
                 }
             }
-            // Dropping `tx` is the end-of-stream signal for the wave loop.
+            // Dropping `tx` here leaves the answered jobs' senders as the
+            // last ones: the channel closes when the final job is answered.
         });
 
-        // Block for the first pending line of each wave; channel closure =
-        // EOF with everything already drained into earlier waves.
+        let mut out = BufWriter::new(writer);
+        let mut stats = ConnectionStats { jobs: 0, errors: 0 };
         while let Ok(first) = rx.recv() {
-            let mut wave = vec![first];
-            while let Ok(next) = rx.try_recv() {
-                wave.push(next);
-            }
-
-            // Malformed lines answer immediately; well-formed jobs run as
-            // one LPT wave.
-            let mut jobs = Vec::new();
-            for incoming in wave {
-                match incoming {
-                    Incoming::Job(job) => jobs.push(job),
-                    Incoming::Bad { id, error } => {
-                        stats.errors += 1;
-                        let line =
-                            protocol::error_to_json(id, FlowErrorKind::Invalid, &error).render();
-                        writeln!(out, "{line}")?;
-                    }
+            for (ok, line) in std::iter::once(first).chain(rx.try_iter()) {
+                if ok {
+                    stats.jobs += 1;
+                } else {
+                    stats.errors += 1;
                 }
-            }
-            let outcomes = sched::run_jobs(runner, &jobs, threads, |_, _| {});
-            for (job, outcome) in jobs.iter().zip(outcomes) {
-                let line = match outcome {
-                    Ok(response) => {
-                        stats.jobs += 1;
-                        protocol::response_to_json(&response).render()
-                    }
-                    Err(error) => {
-                        stats.errors += 1;
-                        protocol::error_to_json(Some(job.id), error.kind, &error.message).render()
-                    }
-                };
                 writeln!(out, "{line}")?;
             }
             out.flush()?;
         }
-        out.flush()?;
         Ok(stats)
     })
+}
+
+/// A job's response line, and whether it answers `ok`.
+fn render(id: u64, outcome: JobOutcome) -> (bool, String) {
+    match outcome {
+        Ok(response) => (true, protocol::response_to_json(&response).render()),
+        Err(error) => (
+            false,
+            protocol::error_to_json(Some(id), error.kind, &error.message).render(),
+        ),
+    }
 }
 
 /// Accept-loop poll interval while checking the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
 /// Serves connections at `addr` until `shutdown` turns true, handling each
-/// connection on its own thread (connections in flight are drained before
-/// returning). A Unix socket path left over from an earlier run is removed
-/// before binding.
+/// connection on its own thread over one shared queue of `threads` workers
+/// (connections in flight are drained before returning). A Unix socket path
+/// left over from an earlier run is removed before binding.
 ///
 /// # Errors
 /// Propagates bind/accept errors. Per-connection I/O errors are logged to
@@ -228,6 +246,12 @@ pub fn serve(
     threads: usize,
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
+    let queue = Queue::default();
+    let serve_on = |accept: &dyn Fn() -> io::Result<Option<BoxedHalves>>| {
+        queue.run(runner, threads, || {
+            accept_loop(&queue, runner, shutdown, accept)
+        })
+    };
     match addr {
         BindAddr::Unix(path) => {
             if path.exists() {
@@ -235,7 +259,7 @@ pub fn serve(
             }
             let listener = UnixListener::bind(path)?;
             listener.set_nonblocking(true)?;
-            let result = accept_loop(runner, threads, shutdown, || match listener.accept() {
+            let result = serve_on(&|| match listener.accept() {
                 Ok((stream, _)) => {
                     stream.set_nonblocking(false)?;
                     let reader = stream.try_clone()?;
@@ -253,7 +277,7 @@ pub fn serve(
         BindAddr::Tcp(tcp) => {
             let listener = TcpListener::bind(tcp.as_str())?;
             listener.set_nonblocking(true)?;
-            accept_loop(runner, threads, shutdown, || match listener.accept() {
+            serve_on(&|| match listener.accept() {
                 Ok((stream, _)) => {
                     stream.set_nonblocking(false)?;
                     let reader = stream.try_clone()?;
@@ -271,30 +295,25 @@ pub fn serve(
 
 type BoxedHalves = (Box<dyn io::Read + Send>, Box<dyn io::Write + Send>);
 
-fn accept_loop<A>(
+fn accept_loop(
+    queue: &Queue,
     runner: &JobRunner,
-    threads: usize,
     shutdown: &AtomicBool,
-    accept: A,
-) -> io::Result<()>
-where
-    A: Fn() -> io::Result<Option<BoxedHalves>>,
-{
+    accept: &dyn Fn() -> io::Result<Option<BoxedHalves>>,
+) -> io::Result<()> {
     std::thread::scope(|scope| {
         while !shutdown.load(Ordering::Relaxed) {
             match accept() {
                 Ok(Some((reader, writer))) => {
-                    scope.spawn(
-                        move || match handle_connection(runner, threads, reader, writer) {
-                            Ok(stats) => eprintln!(
-                                "pv: connection closed ({} jobs, {} errors, {} cache hits so far)",
-                                stats.jobs,
-                                stats.errors,
-                                runner.cache_hits(),
-                            ),
-                            Err(e) => eprintln!("pv: connection failed: {e}"),
-                        },
-                    );
+                    scope.spawn(move || match connection(queue, runner, reader, writer) {
+                        Ok(stats) => eprintln!(
+                            "pv: connection closed ({} jobs, {} errors, {} cache hits so far)",
+                            stats.jobs,
+                            stats.errors,
+                            runner.cache_hits(),
+                        ),
+                        Err(e) => eprintln!("pv: connection failed: {e}"),
+                    });
                 }
                 Ok(None) => std::thread::sleep(ACCEPT_POLL),
                 Err(e) => return Err(e),
